@@ -270,4 +270,40 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("MittOSPut issue path allocates %.1f objects per op; budget is 0", avg)
 		}
 	})
+	t.Run("DiskDestageCycle", func(t *testing.T) {
+		// The NVRAM write path with the buffer full: each cycle destages
+		// the oldest record, buffers one new write, and fires its ack.
+		eng := sim.NewEngine()
+		cfg := disk.DefaultConfig()
+		d := disk.New(eng, cfg, sim.NewRNG(1, "alloc-destage"))
+		offs := sim.NewRNG(1, "alloc-destage-offsets")
+		var pool blockio.Pool
+		done := func(req *blockio.Request) { req.Release() }
+		submit := func() {
+			req := pool.Get()
+			req.Op = blockio.Write
+			req.Offset = offs.Int63n(cfg.CapacityBytes>>12-1) << 12
+			req.Size = 4096
+			req.OnComplete = done
+			d.Submit(req)
+		}
+		cycle := func() {
+			for served := d.Served(); d.Served() == served && eng.Step(); {
+			}
+			submit()
+		}
+		for i := 0; i <= cfg.WriteBufferSlots; i++ { // one on the spindle, the rest buffered
+			submit()
+		}
+		for i := 0; i < 64; i++ { // warm the pools
+			cycle()
+		}
+		if d.QueueLen() != 0 {
+			t.Fatalf("%d writes overflowed the NVRAM buffer", d.QueueLen())
+		}
+		avg := testing.AllocsPerRun(200, cycle)
+		if avg != 0 {
+			t.Fatalf("buffered write + ack + destage allocates %.1f objects per cycle; budget is 0", avg)
+		}
+	})
 }

@@ -86,6 +86,40 @@ type destageRec struct {
 	size   int
 }
 
+// destageRing is the NVRAM write buffer: a fixed-capacity FIFO of buffered
+// writes awaiting idle destaging. Push and pop are O(1) and the slots are
+// allocated once, at the first buffered write, so the steady-state write
+// path is allocation-free.
+type destageRing struct {
+	slots []destageRec
+	head  int // index of the oldest record
+	n     int // records buffered
+}
+
+// push appends w at the tail; the caller has checked n < capacity.
+func (b *destageRing) push(w destageRec, capacity int) {
+	if b.slots == nil {
+		b.slots = make([]destageRec, capacity)
+	}
+	tail := b.head + b.n
+	if tail >= len(b.slots) {
+		tail -= len(b.slots)
+	}
+	b.slots[tail] = w
+	b.n++
+}
+
+// pop removes and returns the oldest record; the caller has checked n > 0.
+func (b *destageRing) pop() destageRec {
+	w := b.slots[b.head]
+	b.head++
+	if b.head == len(b.slots) {
+		b.head = 0
+	}
+	b.n--
+	return w
+}
+
 // Disk is the device model. It implements blockio.Device.
 type Disk struct {
 	eng *sim.Engine
@@ -94,7 +128,7 @@ type Disk struct {
 
 	headPos int64
 	queue   []*blockio.Request // device queue, reordered by SSTF
-	destage []destageRec       // NVRAM writes awaiting idle destaging
+	destage destageRing        // NVRAM writes awaiting idle destaging
 	scratch blockio.Request    // reused to present destage records to the spindle
 	busy    bool
 
@@ -217,10 +251,6 @@ func (d *Disk) QueueLen() int { return len(d.queue) }
 // Served returns the number of completed spindle operations.
 func (d *Disk) Served() uint64 { return d.served }
 
-// HeadPos returns the current head position (for tests and predictors; the
-// paper notes the head position is "known from the last IO completed").
-func (d *Disk) HeadPos() int64 { return d.headPos }
-
 // Submit implements blockio.Device. Writes are absorbed by the NVRAM buffer
 // when space allows; reads (and overflow writes) enter the device queue.
 func (d *Disk) Submit(req *blockio.Request) {
@@ -231,12 +261,12 @@ func (d *Disk) Submit(req *blockio.Request) {
 	d.inflight++
 	d.rec.DevEnter(metrics.RDisk, req)
 	if req.Op == blockio.Write && d.cfg.WriteBufferSlots > 0 &&
-		len(d.destage) < d.cfg.WriteBufferSlots {
+		d.destage.n < d.cfg.WriteBufferSlots {
 		// NVRAM absorbs the write; destage happens during idle periods.
 		// The buffer keeps its own copy of the geometry: the request is
 		// acked (and possibly recycled by its owner) before the spindle
 		// writes the data back.
-		d.destage = append(d.destage, destageRec{offset: req.Offset, size: req.Size})
+		d.destage.push(destageRec{offset: req.Offset, size: req.Size}, d.cfg.WriteBufferSlots)
 		var op *diskAckOp
 		if n := len(d.ackFree); n > 0 {
 			op = d.ackFree[n-1]
@@ -298,12 +328,8 @@ func (d *Disk) next() (*blockio.Request, bool) {
 	}
 	d.queue = live
 	if len(d.queue) == 0 {
-		if len(d.destage) > 0 {
-			w := d.destage[0]
-			// Pop by copy-down, not re-slicing: the buffer is bounded by
-			// WriteBufferSlots and keeping its capacity makes the
-			// steady-state write path allocation-free.
-			d.destage = d.destage[:copy(d.destage, d.destage[1:])]
+		if d.destage.n > 0 {
+			w := d.destage.pop() // oldest first: NVRAM destages in FIFO order
 			d.scratch = blockio.Request{Op: blockio.Write, Offset: w.offset, Size: w.size}
 			return &d.scratch, true
 		}

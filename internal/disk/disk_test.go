@@ -159,6 +159,177 @@ func TestDestageDoesNotDoubleComplete(t *testing.T) {
 	}
 }
 
+// ringRig drives a noise-free disk with a small NVRAM ring, recording the
+// offset of every spindle operation in service order.
+type ringRig struct {
+	t      *testing.T
+	eng    *sim.Engine
+	d      *Disk
+	acks   map[int64]int // per-offset completion count
+	served []int64       // offsets in spindle-service order
+}
+
+func newRingRig(t *testing.T, slots int) *ringRig {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	cfg.ServiceNoiseStd = 0
+	cfg.WriteBufferSlots = slots
+	return &ringRig{t: t, eng: eng, d: New(eng, cfg, sim.NewRNG(1, "ring")),
+		acks: make(map[int64]int)}
+}
+
+// write submits a 4KB write at off.
+func (r *ringRig) write(off int64) *blockio.Request {
+	w := &blockio.Request{Op: blockio.Write, Offset: off, Size: 4096}
+	w.SubmitTime = r.eng.Now()
+	w.OnComplete = func(w *blockio.Request) { r.acks[w.Offset]++ }
+	r.d.Submit(w)
+	return w
+}
+
+// serve fires events until n more spindle operations finish, reading the
+// head position after each to recover the offset it served.
+func (r *ringRig) serve(n int) {
+	r.t.Helper()
+	for ; n > 0; n-- {
+		before := r.d.Served()
+		for r.d.Served() == before {
+			if !r.eng.Step() {
+				r.t.Fatalf("engine drained with %d services outstanding", n)
+			}
+		}
+		r.served = append(r.served, r.d.headPos-4096)
+	}
+}
+
+// TestDestageRingFIFOAcrossWraps interleaves buffered writes with idle
+// destages so a 4-slot ring wraps around more than twice: the spindle must
+// destage in submission order, every write must be acked exactly once, and
+// the ring must keep the slots it allocated at the first buffered write.
+func TestDestageRingFIFOAcrossWraps(t *testing.T) {
+	const slots = 4
+	r := newRingRig(t, slots)
+	var submitted []int64
+	next := int64(1)
+	submit := func(k int) {
+		for ; k > 0; k-- {
+			off := next << 30
+			next++
+			r.write(off)
+			submitted = append(submitted, off)
+		}
+		if r.d.QueueLen() != 0 {
+			t.Fatalf("a write overflowed to the device queue with %d buffered", r.d.destage.n)
+		}
+	}
+	// The first write goes straight to the idle spindle; the next four
+	// fill the ring. Each later round refills what the destages freed.
+	submit(1 + slots)
+	first := &r.d.destage.slots[0]
+	for _, k := range []int{1, 2, 3, 4} {
+		r.serve(k)
+		submit(k)
+		if r.d.destage.n != slots {
+			t.Fatalf("ring holds %d records after refill, want %d", r.d.destage.n, slots)
+		}
+	}
+	r.serve(1 + slots)
+	if r.eng.Step() {
+		t.Fatal("events pending after every write destaged")
+	}
+	if len(submitted) < 3*slots {
+		t.Fatalf("only %d writes passed through a %d-slot ring; want two wrap-arounds", len(submitted), slots)
+	}
+	if &r.d.destage.slots[0] != first || len(r.d.destage.slots) != slots {
+		t.Fatal("destage ring reallocated its slots")
+	}
+	if len(r.served) != len(submitted) {
+		t.Fatalf("served %d spindle ops for %d writes", len(r.served), len(submitted))
+	}
+	for i := range submitted {
+		if r.served[i] != submitted[i] {
+			t.Fatalf("destage order %v, want submission order %v", r.served, submitted)
+		}
+	}
+	if got := r.d.Served(); got != uint64(len(submitted)) {
+		t.Fatalf("Served() = %d, want one per write (%d)", got, len(submitted))
+	}
+	for _, off := range submitted {
+		if r.acks[off] != 1 {
+			t.Fatalf("write at %d acked %d times, want 1", off, r.acks[off])
+		}
+	}
+	if r.d.InFlight() != 0 {
+		t.Fatalf("inflight %d after drain", r.d.InFlight())
+	}
+}
+
+// TestDestageRingFullGoesToQueue: a write arriving at a full ring is not
+// absorbed; it joins the device queue, is served before the buffered
+// destages, and acks at spindle latency.
+func TestDestageRingFullGoesToQueue(t *testing.T) {
+	const slots = 4
+	r := newRingRig(t, slots)
+	for i := int64(1); i <= 1+slots; i++ {
+		r.write(i << 30)
+	}
+	if r.d.destage.n != slots || r.d.QueueLen() != 0 {
+		t.Fatalf("ring %d, queue %d; want a full ring and an empty queue", r.d.destage.n, r.d.QueueLen())
+	}
+	over := r.write(100 << 30)
+	if r.d.destage.n != slots || r.d.QueueLen() != 1 {
+		t.Fatalf("ring %d, queue %d after the overflow write; want %d and 1", r.d.destage.n, r.d.QueueLen(), slots)
+	}
+	r.serve(2)
+	if r.served[1] != over.Offset {
+		t.Fatalf("second spindle op served %d, want the queued overflow write %d", r.served[1], over.Offset)
+	}
+	if over.Latency() < time.Millisecond {
+		t.Fatalf("overflow write acked in %v, want spindle latency", over.Latency())
+	}
+	r.eng.Run()
+	if got, want := r.d.Served(), uint64(2+slots); got != want {
+		t.Fatalf("Served() = %d, want %d", got, want)
+	}
+}
+
+// BenchmarkDestagePop keeps the default 4096-slot NVRAM buffer full: each
+// op destages the oldest record and buffers (and acks) one new write.
+func BenchmarkDestagePop(b *testing.B) {
+	eng := sim.NewEngine()
+	cfg := DefaultConfig()
+	d := New(eng, cfg, sim.NewRNG(1, "destage-bench"))
+	rng := sim.NewRNG(1, "destage-bench-offsets")
+	var pool blockio.Pool
+	done := func(req *blockio.Request) { req.Release() }
+	submit := func() {
+		req := pool.Get()
+		req.Op = blockio.Write
+		req.Offset = rng.Int63n(cfg.CapacityBytes>>12-1) << 12
+		req.Size = 4096
+		req.OnComplete = done
+		d.Submit(req)
+	}
+	serveOne := func() {
+		served := d.Served()
+		for d.Served() == served && eng.Step() {
+		}
+	}
+	for i := 0; i < cfg.WriteBufferSlots; i++ {
+		submit()
+	}
+	for i := 0; i < 64; i++ {
+		serveOne()
+		submit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveOne()
+		submit()
+	}
+}
+
 func TestCanceledRequestSkipped(t *testing.T) {
 	eng, d := newTestDisk(t)
 	served := 0

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -57,10 +58,11 @@ func resolveWorkers(n int) int {
 // workers ≤ 1 they run inline, which is the reference serial schedule the
 // determinism tests compare against. Each worker owns one arena for its
 // lifetime and resets it between legs. A panicking leg does not kill the
-// pool's goroutine silently: the first panic is captured and re-raised on
-// the calling goroutine after the pool drains. An arena whose leg panicked
-// is discarded rather than returned to the pool — its engine may be
-// mid-run, so it cannot be safely reset.
+// pool's goroutine silently: the first panic is captured, with the leg's
+// index and the stack it panicked on, and re-raised on the calling
+// goroutine after the pool drains. An arena whose leg panicked is discarded
+// rather than returned to the pool — its engine may be mid-run, so it
+// cannot be safely reset.
 func runLegs(workers int, ls legs) {
 	workers = resolveWorkers(workers)
 	if workers > len(ls) {
@@ -68,36 +70,29 @@ func runLegs(workers int, ls legs) {
 	}
 	if workers <= 1 {
 		a := acquireArena()
-		for _, fn := range ls {
-			fn(a) // a panic propagates; the dirty arena is dropped
+		for i := range ls {
+			if msg := runLeg(ls, i, a); msg != "" {
+				panic(msg) // the dirty arena is dropped
+			}
 			a.reset()
 		}
 		releaseArena(a)
 		return
 	}
 	var (
-		wg         sync.WaitGroup
-		panicOnce  sync.Once
-		panicValue any
+		wg        sync.WaitGroup
+		panicOnce sync.Once
+		first     string
 	)
-	work := make(chan func(*legArena))
+	work := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			a := acquireArena()
-			for fn := range work {
-				panicked := true
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicValue = r })
-						}
-					}()
-					fn(a)
-					panicked = false
-				}()
-				if panicked {
+			for i := range work {
+				if msg := runLeg(ls, i, a); msg != "" {
+					panicOnce.Do(func() { first = msg })
 					// The arena's engine may still hold the panicked leg's
 					// state; start the worker over on a fresh one.
 					a = acquireArena()
@@ -108,12 +103,24 @@ func runLegs(workers int, ls legs) {
 			releaseArena(a)
 		}()
 	}
-	for _, fn := range ls {
-		work <- fn
+	for i := range ls {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
-	if panicValue != nil {
-		panic(fmt.Sprintf("experiments: leg panicked: %v", panicValue))
+	if first != "" {
+		panic(first)
 	}
+}
+
+// runLeg runs leg i on a. If the leg panics, it returns a message naming
+// the leg, the panic value and the stack the leg panicked on; otherwise "".
+func runLeg(ls legs, i int, a *legArena) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprintf("experiments: leg %d panicked: %v\n\n%s", i, r, debug.Stack())
+		}
+	}()
+	ls[i](a)
+	return ""
 }

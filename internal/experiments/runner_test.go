@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,19 +28,31 @@ func TestRunLegsOrderAndClamp(t *testing.T) {
 	}
 }
 
+// panickingLeg is a named leg so the re-raised panic's stack can be
+// checked for its frame.
+func panickingLeg(*legArena) { panic("leg boom") }
+
 // TestRunLegsPanicPropagates: a panicking leg must not deadlock the pool,
-// and the panic must surface on the caller's goroutine.
+// and the panic must surface on the caller's goroutine naming the leg and
+// carrying the stack it panicked on, not just the panic value.
 func TestRunLegsPanicPropagates(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("workers=%d: panic swallowed", workers)
+				}
+				msg := fmt.Sprint(r)
+				for _, want := range []string{"leg 1 panicked: leg boom", "experiments.panickingLeg("} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("workers=%d: panic message lacks %q:\n%s", workers, want, msg)
+					}
 				}
 			}()
 			runLegs(workers, legs{
 				func(*legArena) {},
-				func(*legArena) { panic("leg boom") },
+				panickingLeg,
 				func(*legArena) {},
 			})
 		}()

@@ -11,7 +11,7 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mittos/internal/blockio"
@@ -658,11 +658,13 @@ func (s *Store) flush() {
 	for k := range s.memtable { //mapiter:sorted
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for slot, k := range keys {
 		r.index[k] = int32(slot)
 	}
-	s.memtable = make(map[int64]bool)
+	// Reuse the memtable's buckets: it refills to the same size before the
+	// next flush, so a fresh map would only regrow to it again.
+	clear(s.memtable)
 	s.runs = append([]*run{r}, s.runs...)
 	// Background sequential writes, fire-and-forget: chunked 256KB IOs.
 	const chunk = 256 << 10
@@ -697,7 +699,7 @@ func (s *Store) compact() {
 	for k := range merged { //mapiter:sorted
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	r := &run{base: s.allocExtent(total * int64(s.cfg.BlockSize)),
 		stride: int64(s.cfg.BlockSize), index: merged}
 	for slot, k := range keys {

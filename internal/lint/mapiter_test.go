@@ -2,17 +2,29 @@ package lint
 
 import "testing"
 
-// TestNoMapIterationOnSimulationPaths is the determinism sweep: the
-// packages whose control flow reaches simulation state must not range over
-// maps without an explicit //mapiter:sorted justification. A failure here
-// means a code path whose behavior can differ between two runs of the same
-// seed.
+// TestNoMapIterationOnSimulationPaths is the determinism sweep: every
+// package an experiment leg runs through must not range over maps without
+// an explicit //mapiter:sorted justification. A failure here means a code
+// path whose behavior can differ between two runs of the same seed.
 func TestNoMapIterationOnSimulationPaths(t *testing.T) {
 	findings, err := CheckMapIter([]string{
 		"../core",
 		"../iosched",
 		"../cluster",
 		"../kv",
+		"../disk",
+		"../sim",
+		"../oscache",
+		"../ssd",
+		"../netsim",
+		"../noise",
+		"../blockio",
+		"../metrics",
+		"../faults",
+		"../ycsb",
+		"../smr",
+		"../vmm",
+		"../experiments",
 	})
 	if err != nil {
 		t.Fatal(err)
