@@ -270,6 +270,67 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("MittOSPut issue path allocates %.1f objects per op; budget is 0", avg)
 		}
 	})
+	// The remaining client-strategy pins share the BasePutIssue shape: one
+	// op round trip on an idle fleet, pools warmed first, then drained.
+	putPin := func(t *testing.T, name string, mitt bool, mk func(*cluster.Cluster) cluster.PutStrategy) {
+		eng, c := newAllocCluster("alloc-"+name, mitt)
+		ps := mk(c)
+		done := func(cluster.PutResult) {}
+		put := func() {
+			ps.Put(7, done)
+			eng.Run()
+		}
+		for i := 0; i < 64; i++ { // warm every pool on the path
+			put()
+		}
+		if avg := testing.AllocsPerRun(200, put); avg != 0 {
+			t.Fatalf("%s issue path allocates %.1f objects per op; budget is 0", name, avg)
+		}
+	}
+	getPin := func(t *testing.T, name string, mitt bool, mk func(*cluster.Cluster) cluster.Strategy) {
+		eng, c := newAllocCluster("alloc-"+name, mitt)
+		s := mk(c)
+		done := func(cluster.GetResult) {}
+		get := func() {
+			s.Get(7, done)
+			eng.Run()
+		}
+		for i := 0; i < 64; i++ { // warm every pool on the path
+			get()
+		}
+		if avg := testing.AllocsPerRun(200, get); avg != 0 {
+			t.Fatalf("%s get allocates %.1f objects per op; budget is 0", name, avg)
+		}
+	}
+	t.Run("TimeoutPutIssue", func(t *testing.T) {
+		// The handoff timer is armed on every put and fires after the
+		// quorum, so this pins the timer's recycled event as well.
+		putPin(t, "TimeoutPut", false, func(c *cluster.Cluster) cluster.PutStrategy {
+			return &cluster.TimeoutPut{C: c, TO: 50 * time.Millisecond}
+		})
+	})
+	t.Run("HedgedPutIssue", func(t *testing.T) {
+		putPin(t, "HedgedPut", false, func(c *cluster.Cluster) cluster.PutStrategy {
+			return &cluster.HedgedPut{C: c, HedgeAfter: 50 * time.Millisecond}
+		})
+	})
+	t.Run("BaseGet", func(t *testing.T) {
+		getPin(t, "Base", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.BaseStrategy{C: c}
+		})
+	})
+	t.Run("HedgedGet", func(t *testing.T) {
+		// A short hedge delay so some gets send the second copy and the
+		// loser's late reply is tallied too.
+		getPin(t, "Hedged", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.HedgedStrategy{C: c, HedgeAfter: 2 * time.Millisecond}
+		})
+	})
+	t.Run("MittOSGet", func(t *testing.T) {
+		getPin(t, "MittOS", true, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.MittOSStrategy{C: c, Deadline: 20 * time.Millisecond, UseWaitHint: true}
+		})
+	})
 	t.Run("DiskDestageCycle", func(t *testing.T) {
 		// The NVRAM write path with the buffer full: each cycle destages
 		// the oldest record, buffers one new write, and fires its ack.
