@@ -39,6 +39,7 @@ func (f *fakeStrategy) Get(key int64, onDone func(GetResult)) {
 type countingPut struct {
 	eng   *sim.Engine
 	calls int
+	PutCounters
 }
 
 func (p *countingPut) Name() string { return "counting" }

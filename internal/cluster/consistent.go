@@ -56,7 +56,7 @@ func (s *ConsistentMittOSStrategy) Get(key int64, onDone func(GetResult)) {
 			deadline = 0
 		}
 		node := s.C.Nodes[replicas[i]]
-		replicaCall(s.C, replicas[i], key, deadline, func(err error) {
+		s.C.ReplicaCall(replicas[i], key, deadline, func(err error) {
 			if err != nil && core.IsBusy(err) {
 				s.Failovers++
 				// Find the next replica that is fresh enough.
@@ -72,7 +72,7 @@ func (s *ConsistentMittOSStrategy) Get(key int64, onDone func(GetResult)) {
 				// than serve a stale read (§8.3's conservative choice).
 				s.ForcedToWait++
 				s.monotonicFail++
-				replicaCall(s.C, replicas[i], key, 0, func(err2 error) {
+				s.C.ReplicaCall(replicas[i], key, 0, func(err2 error) {
 					s.recordVersion(key, node)
 					finish(tries+1, err2)
 				})

@@ -94,34 +94,26 @@ type NodeConfig struct {
 }
 
 // Pools bundles every per-op freelist of a node fleet: serve contexts,
-// revocation handles, replica-call contexts, and the block-layer request
-// pool the KV stores draw from. Contexts rebind their owner (node or
-// cluster) at acquire time, so one bundle can serve any number of fleets —
-// sequentially, never concurrently — and an experiment arena can carry a
-// warm bundle across legs instead of re-growing every pool from zero.
+// revocation handles, replica-call contexts, the client strategies' op
+// contexts, and the block-layer request pool the KV stores draw from.
+// Contexts rebind their owner (node, cluster or strategy) at acquire time,
+// so one bundle can serve any number of fleets — sequentially, never
+// concurrently — and an experiment arena can carry a warm bundle across
+// legs instead of re-growing every pool from zero.
 type Pools struct {
-	getCtxs  []*getCtx
-	putCtxs  []*putCtx
-	handles  []*ServeHandle
-	calls    []*callCtx
-	putCalls []*putCallCtx
+	serves  freelist[serveCtx]
+	handles freelist[ServeHandle]
+	calls   freelist[callCtx]
 	// Client-side strategy op contexts. These live here rather than on the
 	// strategy structs because experiments build a fresh strategy per leg:
 	// pooling per strategy would start every leg cold AND lose any op a
-	// wedged IO stranded past the leg's drain window. The ops rebind their
-	// owning strategy at acquire, exactly like the serve contexts above.
-	baseOps     []*baseOp
-	timeoutOps  []*timeoutOp
-	timeoutAtts []*timeoutAttempt
-	cloneOps    []*cloneOp
-	hedgedOps   []*hedgedOp
-	mittOps     []*mittOp
-	// Put-strategy twins.
-	basePutOps    []*basePutOp
-	timeoutPutOps []*timeoutPutOp
-	hedgedPutOps  []*hedgedPutOp
-	mittPutOps    []*mittPutOp
-	mittPutCopies []*mittPutCopy
+	// wedged IO stranded past the leg's drain window.
+	getOps      freelist[getOp]
+	timeoutOps  freelist[timeoutOp]
+	timeoutAtts freelist[timeoutAttempt]
+	mittOps     freelist[mittOp]
+	putOps      freelist[putOp]
+	putCopies   freelist[putCopy]
 	// Reqs is the shared block-IO request pool; nodes point their KV
 	// stores and page caches at it. (Requests recycle into the pool that
 	// created them, so the bundle must outlive every fleet using it.)
@@ -129,6 +121,42 @@ type Pools struct {
 	// Pages is the shared page-cache slab; cached nodes draw their
 	// resident-set page structs from it.
 	Pages oscache.PageSlab
+}
+
+// freelist is the pool behind every pooled per-op context: acquire pops a
+// recycled object or allocates one, release pushes it back once its last
+// callback has fired. out counts objects handed out and not yet returned,
+// so a drained fleet can be checked for leaks.
+type freelist[T any] struct {
+	free []*T
+	out  int
+}
+
+// binder is a pooled context that binds its callback fields once, at
+// allocation, so reusing it costs no closure allocations.
+type binder[T any] interface {
+	*T
+	bind()
+}
+
+// acquire pops a pooled context, or allocates and binds a fresh one. The
+// caller rebinds the owner.
+func acquire[T any, P binder[T]](f *freelist[T]) P {
+	f.out++
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return P(x)
+	}
+	x := P(new(T))
+	x.bind()
+	return x
+}
+
+// release returns a context to its pool; it must not be touched after.
+func (f *freelist[T]) release(x *T) {
+	f.out--
+	f.free = append(f.free, x)
 }
 
 // TargetDevice adapts a core.Target to blockio.Device, so components that
@@ -140,7 +168,7 @@ type TargetDevice struct {
 	T        core.Target
 	Rec      *metrics.Recorder // span boundary for IOs entering here (nil ok)
 	inflight int
-	opFree   []*tdOp
+	ops      freelist[tdOp]
 }
 
 // tdOp is the pooled per-IO completion context for the block-layer
@@ -152,10 +180,12 @@ type tdOp struct {
 	fn  func(error) // pre-bound op.done
 }
 
+func (op *tdOp) bind() { op.fn = op.done }
+
 func (op *tdOp) done(err error) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.opFree = append(d.opFree, op)
+	d.ops.release(op)
 	if d.Rec != nil {
 		d.Rec.IOEnd(req, err, core.IsBusy(err))
 	}
@@ -171,15 +201,8 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 	if d.Rec != nil {
 		d.Rec.IOBegin(req)
 	}
-	var op *tdOp
-	if n := len(d.opFree); n > 0 {
-		op = d.opFree[n-1]
-		d.opFree = d.opFree[:n-1]
-	} else {
-		op = &tdOp{d: d}
-		op.fn = op.done
-	}
-	op.req = req
+	op := acquire(&d.ops)
+	op.d, op.req = d, req
 	d.T.SubmitSLO(req, op.fn)
 }
 
@@ -188,9 +211,9 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 // verdict. Installed only when metrics are enabled, so the default path
 // keeps the bare Target.
 type tracedTarget struct {
-	rec    *metrics.Recorder
-	t      core.Target
-	opFree []*ttOp
+	rec *metrics.Recorder
+	t   core.Target
+	ops freelist[ttOp]
 }
 
 // ttOp is the traced boundary's pooled per-IO context.
@@ -201,10 +224,12 @@ type ttOp struct {
 	fn     func(error) // pre-bound op.done
 }
 
+func (op *ttOp) bind() { op.fn = op.done }
+
 func (op *ttOp) done(err error) {
 	t, req, onDone := op.t, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	t.opFree = append(t.opFree, op)
+	t.ops.release(op)
 	t.rec.IOEnd(req, err, core.IsBusy(err))
 	onDone(err)
 }
@@ -212,15 +237,8 @@ func (op *ttOp) done(err error) {
 // SubmitSLO implements core.Target.
 func (t *tracedTarget) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	t.rec.IOBegin(req)
-	var op *ttOp
-	if n := len(t.opFree); n > 0 {
-		op = t.opFree[n-1]
-		t.opFree = t.opFree[:n-1]
-	} else {
-		op = &ttOp{t: t}
-		op.fn = op.done
-	}
-	op.req, op.onDone = req, onDone
+	op := acquire(&t.ops)
+	op.t, op.req, op.onDone = t, req, onDone
 	t.t.SubmitSLO(req, op.fn)
 }
 
@@ -529,17 +547,13 @@ func (h *ServeHandle) deref() {
 	}
 	n := h.n
 	h.req, h.canceled, h.gen = nil, false, 0
-	n.pools.handles = append(n.pools.handles, h)
+	n.pools.handles.release(h)
 }
 
+func (h *ServeHandle) bind() {}
+
 func (n *Node) getHandle() *ServeHandle {
-	var h *ServeHandle
-	if ln := len(n.pools.handles); ln > 0 {
-		h = n.pools.handles[ln-1]
-		n.pools.handles = n.pools.handles[:ln-1]
-	} else {
-		h = &ServeHandle{}
-	}
+	h := acquire(&n.pools.handles)
 	h.n = n // pooled across the fleet: rebind the owner
 	h.refs = 2
 	return h
@@ -549,61 +563,69 @@ func (n *Node) getHandle() *ServeHandle {
 // timestamp consistency-aware clients compare, §8.3).
 func (n *Node) KeyVersion(key int64) uint64 { return n.Store.Version(key) }
 
-// getCtx is the pooled per-get context: the callback fields are bound once
-// at allocation, so a get costs no closure allocations as it moves through
-// the CPU stage, the KV read, and the response stage.
-type getCtx struct {
+// serveOp is the KV call a serve context makes.
+type serveOp uint8
+
+const (
+	opGet        serveOp = iota // Store.Get: the read path, revocable
+	opPutSLO                    // Store.PutSLO: ack at the memtable (the legacy write() path)
+	opPutDurable                // Store.PutDurable: ack at WAL durability (quorum replication)
+)
+
+// serveCtx is the pooled per-request serve context, shared by gets and
+// puts: optional CPU admission stage, the KV call, optional CPU response
+// stage, then the verdict. The callback fields are bound once at
+// allocation, so a request costs no closure allocations. Only a get has a
+// block request and (when cancelable) a revocation handle: a put rides a
+// shared group-commit WAL IO that cannot be cancelled on one member's
+// behalf, so for puts both stay nil and every teardown step on them is a
+// no-op.
+type serveCtx struct {
 	n        *Node
+	op       serveOp
 	key      int64
 	deadline time.Duration
 	onDone   func(error)
-	h        *ServeHandle // nil on the non-cancelable fast path
+	h        *ServeHandle // nil on the non-cancelable paths
 	req      *blockio.Request
 	err      error
 
 	// Crash bookkeeping: live-list membership plus the aborted flag. An
-	// aborted get already delivered ErrNodeDown from Crash; whichever of
-	// its pending callbacks fires next only reclaims state.
+	// aborted request already delivered ErrNodeDown from Crash; whichever
+	// of its pending callbacks fires next only reclaims state.
 	aborted bool
 	live    liveEntry
 
 	workFn func()                 // pre-bound ctx.work: CPU admission stage
-	kvFn   func(error)            // pre-bound ctx.kv: Store.Get callback
+	kvFn   func(error)            // pre-bound ctx.kv: KV callback
 	respFn func()                 // pre-bound ctx.resp: CPU response stage
 	dropFn func(*blockio.Request) // pre-bound ctx.drop: revocation terminal
 }
 
-func (n *Node) getGetCtx() *getCtx {
-	var ctx *getCtx
-	if ln := len(n.pools.getCtxs); ln > 0 {
-		ctx = n.pools.getCtxs[ln-1]
-		n.pools.getCtxs = n.pools.getCtxs[:ln-1]
-	} else {
-		ctx = &getCtx{}
-		ctx.workFn = ctx.work
-		ctx.kvFn = ctx.kv
-		ctx.respFn = ctx.resp
-		ctx.dropFn = ctx.drop
-		ctx.live.abortFn = ctx.abort
-		ctx.live.reclaimFn = ctx.reclaim
-	}
-	ctx.n = n // pooled across the fleet: rebind the owner
-	return ctx
+func (ctx *serveCtx) bind() {
+	ctx.workFn = ctx.work
+	ctx.kvFn = ctx.kv
+	ctx.respFn = ctx.resp
+	ctx.dropFn = ctx.drop
+	ctx.live.abortFn = ctx.abort
+	ctx.live.reclaimFn = ctx.reclaim
 }
 
-func (n *Node) freeGetCtx(ctx *getCtx) {
+func (n *Node) freeServe(ctx *serveCtx) {
 	n.unlink(&ctx.live)
 	ctx.aborted = false
 	ctx.onDone, ctx.h, ctx.req, ctx.err = nil, nil, nil, nil
-	n.pools.getCtxs = append(n.pools.getCtxs, ctx)
+	n.pools.serves.release(ctx)
 }
 
-// abort is Crash's per-get teardown: the caller hears ErrNodeDown now; the
-// get's IO is revoked if still queued; the context itself is reclaimed
-// later, by whichever pending callback fires next (work/kv/resp/drop). The
-// entry stays on the live list until that reclaim so ReclaimStranded can
-// harvest contexts whose callback never comes.
-func (ctx *getCtx) abort() {
+// abort is Crash's per-request teardown: the caller hears ErrNodeDown now
+// (for a put, the ack is lost; whether the write survives depends on how
+// far its WAL group got); a get's IO is revoked if still queued; the
+// context itself is reclaimed later, by whichever pending callback fires
+// next (work/kv/resp/drop). The entry stays on the live list until that
+// reclaim so ReclaimStranded can harvest contexts whose callback never
+// comes.
+func (ctx *serveCtx) abort() {
 	if ctx.aborted {
 		return
 	}
@@ -616,16 +638,16 @@ func (ctx *getCtx) abort() {
 	onDone(ErrNodeDown)
 }
 
-// reclaim is the terminal for an aborted get — the verdict already went out
-// at crash time — and for ReclaimStranded's teardown harvest of a wedged
-// one, which still owes its caller a verdict: that caller's op context (and
-// the whole reply chain above it) is pooled, and without a resolution it
-// would be stranded right along with the serve context. The verdict is
-// ErrRevoked, delivered synchronously after the context is back in the
-// pools, mirroring drop().
-func (ctx *getCtx) reclaim() {
+// reclaim is the terminal for an aborted request — the verdict already
+// went out at crash time — and for ReclaimStranded's teardown harvest of a
+// wedged one, which still owes its caller a verdict: that caller's op
+// context (and the whole reply chain above it) is pooled, and without a
+// resolution it would be stranded right along with the serve context. The
+// verdict is ErrRevoked, delivered synchronously after the context is back
+// in the pools, mirroring drop().
+func (ctx *serveCtx) reclaim() {
 	n, req, h, onDone := ctx.n, ctx.req, ctx.h, ctx.onDone
-	n.freeGetCtx(ctx)
+	n.freeServe(ctx)
 	if req != nil {
 		req.Release()
 	}
@@ -637,10 +659,18 @@ func (ctx *getCtx) reclaim() {
 	}
 }
 
-func (ctx *getCtx) work() {
+func (ctx *serveCtx) work() {
 	n := ctx.n
 	if ctx.aborted {
 		ctx.reclaim()
+		return
+	}
+	switch ctx.op {
+	case opPutSLO:
+		n.Store.PutSLO(ctx.key, ctx.deadline, ctx.kvFn)
+		return
+	case opPutDurable:
+		n.Store.PutDurable(ctx.key, ctx.deadline, ctx.kvFn)
 		return
 	}
 	if ctx.h != nil && ctx.h.canceled {
@@ -658,7 +688,7 @@ func (ctx *getCtx) work() {
 	}
 }
 
-func (ctx *getCtx) kv(err error) {
+func (ctx *serveCtx) kv(err error) {
 	n := ctx.n
 	if ctx.aborted {
 		ctx.reclaim()
@@ -680,7 +710,7 @@ func (ctx *getCtx) kv(err error) {
 	ctx.deliver(err)
 }
 
-func (ctx *getCtx) resp() {
+func (ctx *serveCtx) resp() {
 	if ctx.aborted {
 		ctx.reclaim()
 		return
@@ -688,11 +718,11 @@ func (ctx *getCtx) resp() {
 	ctx.deliver(ctx.err)
 }
 
-// deliver is the get's completion terminal: hand the verdict to the caller,
-// then recycle the request, the context, and the serve path's handle ref.
-func (ctx *getCtx) deliver(err error) {
+// deliver is the completion terminal: hand the verdict to the caller, then
+// recycle the request, the context, and the serve path's handle ref.
+func (ctx *serveCtx) deliver(err error) {
 	n, onDone, req, h := ctx.n, ctx.onDone, ctx.req, ctx.h
-	n.freeGetCtx(ctx)
+	n.freeServe(ctx)
 	onDone(err)
 	if req != nil {
 		req.Release()
@@ -702,16 +732,16 @@ func (ctx *getCtx) deliver(err error) {
 	}
 }
 
-// drop is the get's revocation terminal: the scheduler or device discarded
+// drop is a get's revocation terminal: the scheduler or device discarded
 // the cancelled IO, so no completion will ever be delivered (span verdict
 // "revoked"). The per-get state is reclaimed and — unless a crash already
 // aborted the get, which delivered ErrNodeDown and nilled onDone — the serve
 // callback is resolved synchronously with ErrRevoked. The delivery is
 // deliberately hop-free: a revoked get sends no reply message, so it must
 // not draw network latency or post events.
-func (ctx *getCtx) drop(req *blockio.Request) {
+func (ctx *serveCtx) drop(req *blockio.Request) {
 	n, h, onDone := ctx.n, ctx.h, ctx.onDone
-	n.freeGetCtx(ctx)
+	n.freeServe(ctx)
 	req.Release()
 	if h != nil {
 		h.deref()
@@ -726,7 +756,7 @@ func (ctx *getCtx) drop(req *blockio.Request) {
 // nil, EBUSY, or kv.ErrNotFound. Use ServeGetCancelable when the caller
 // needs a revocation handle.
 func (n *Node) ServeGet(key int64, deadline time.Duration, onDone func(error)) {
-	n.serveGet(key, deadline, onDone, nil)
+	n.serve(opGet, key, deadline, onDone, nil)
 }
 
 // ServeGetCancelable is ServeGet returning a revocation handle (tied
@@ -734,11 +764,26 @@ func (n *Node) ServeGet(key int64, deadline time.Duration, onDone func(error)) {
 // longer needs it.
 func (n *Node) ServeGetCancelable(key int64, deadline time.Duration, onDone func(error)) *ServeHandle {
 	h := n.getHandle()
-	n.serveGet(key, deadline, onDone, h)
+	n.serve(opGet, key, deadline, onDone, h)
 	return h
 }
 
-func (n *Node) serveGet(key int64, deadline time.Duration, onDone func(error), h *ServeHandle) {
+// ServePutSLO executes a put locally with a deadline SLO: the WAL append is
+// admitted through the node's Mitt* target and EBUSY surfaces before the
+// memtable mutates. Deadline 0 is the vanilla write() path. onDone gets
+// nil, a busy error, blockio.ErrIO, or ErrNodeDown.
+func (n *Node) ServePutSLO(key int64, deadline time.Duration, onDone func(error)) {
+	n.serve(opPutSLO, key, deadline, onDone, nil)
+}
+
+// ServePutDurable executes a put acked only at WAL durability — the quorum
+// replication path. Deadline 0 means durable-but-no-SLO (never rejected);
+// a positive deadline adds the WAL admission fast reject on top.
+func (n *Node) ServePutDurable(key int64, deadline time.Duration, onDone func(error)) {
+	n.serve(opPutDurable, key, deadline, onDone, nil)
+}
+
+func (n *Node) serve(op serveOp, key int64, deadline time.Duration, onDone func(error), h *ServeHandle) {
 	if n.down {
 		n.refused++
 		if h != nil {
@@ -748,168 +793,9 @@ func (n *Node) serveGet(key int64, deadline time.Duration, onDone func(error), h
 		return
 	}
 	n.served++
-	ctx := n.getGetCtx()
-	ctx.key, ctx.deadline, ctx.onDone, ctx.h = key, deadline, onDone, h
-	n.link(&ctx.live)
-	if n.cfg.CPU != nil && n.cfg.CPUPerOp > 0 {
-		n.cfg.CPU.Run(n.cfg.CPUPerOp, ctx.workFn)
-		return
-	}
-	ctx.work()
-}
-
-// putCtx is the pooled per-put serve context, the write-side twin of getCtx:
-// optional CPU admission stage, the SLO-aware KV put, optional CPU response
-// stage, then the ack. There is no revocation handle and no per-put request
-// pointer — a put rides a shared group-commit WAL IO that cannot be
-// cancelled on one member's behalf.
-type putCtx struct {
-	n        *Node
-	key      int64
-	deadline time.Duration
-	onDone   func(error)
-	err      error
-
-	// durable routes the put through Store.PutDurable (ack at WAL
-	// durability, even with deadline 0) instead of PutSLO's legacy
-	// memtable-ack path — the quorum replication contract.
-	durable bool
-	aborted bool
-	live    liveEntry
-
-	workFn func()      // pre-bound ctx.work: CPU admission stage
-	kvFn   func(error) // pre-bound ctx.kv: Store.PutSLO callback
-	respFn func()      // pre-bound ctx.resp: CPU response stage
-}
-
-func (n *Node) getPutCtx() *putCtx {
-	var ctx *putCtx
-	if ln := len(n.pools.putCtxs); ln > 0 {
-		ctx = n.pools.putCtxs[ln-1]
-		n.pools.putCtxs = n.pools.putCtxs[:ln-1]
-	} else {
-		ctx = &putCtx{}
-		ctx.workFn = ctx.work
-		ctx.kvFn = ctx.kv
-		ctx.respFn = ctx.resp
-		ctx.live.abortFn = ctx.abort
-		ctx.live.reclaimFn = ctx.reclaim
-	}
+	ctx := acquire(&n.pools.serves)
 	ctx.n = n // pooled across the fleet: rebind the owner
-	return ctx
-}
-
-func (n *Node) freePutCtx(ctx *putCtx) {
-	n.unlink(&ctx.live)
-	ctx.aborted = false
-	ctx.onDone, ctx.err = nil, nil
-	n.pools.putCtxs = append(n.pools.putCtxs, ctx)
-}
-
-// abort is Crash's per-put teardown: the caller hears ErrNodeDown now (the
-// ack is lost); whether the write survives depends on how far its WAL group
-// got. The context is reclaimed by whichever pending callback fires next;
-// like an aborted get, it stays on the live list until then.
-func (ctx *putCtx) abort() {
-	if ctx.aborted {
-		return
-	}
-	ctx.aborted = true
-	onDone := ctx.onDone
-	ctx.onDone = nil
-	onDone(ErrNodeDown)
-}
-
-// reclaim mirrors getCtx.reclaim: aborted puts already delivered their
-// verdict, but a stranded one harvested at teardown still owes its quorum an
-// answer — ErrRevoked, so the pooled put op above resolves and recycles.
-func (ctx *putCtx) reclaim() {
-	onDone := ctx.onDone
-	ctx.n.freePutCtx(ctx)
-	if onDone != nil {
-		onDone(ErrRevoked)
-	}
-}
-
-func (ctx *putCtx) work() {
-	if ctx.aborted {
-		ctx.reclaim()
-		return
-	}
-	if ctx.durable {
-		ctx.n.Store.PutDurable(ctx.key, ctx.deadline, ctx.kvFn)
-		return
-	}
-	ctx.n.Store.PutSLO(ctx.key, ctx.deadline, ctx.kvFn)
-}
-
-func (ctx *putCtx) kv(err error) {
-	n := ctx.n
-	if ctx.aborted {
-		ctx.reclaim()
-		return
-	}
-	if core.IsBusy(err) {
-		// EBUSY is the exceptionless fast path (§5): no response
-		// marshalling, just the errno.
-		n.rejected++
-		ctx.deliver(err)
-		return
-	}
-	if n.cfg.CPU != nil && n.cfg.CPUPerOp > 0 {
-		// Response-path CPU (marshalling the ack).
-		ctx.err = err
-		n.cfg.CPU.Run(n.cfg.CPUPerOp, ctx.respFn)
-		return
-	}
-	ctx.deliver(err)
-}
-
-func (ctx *putCtx) resp() {
-	if ctx.aborted {
-		ctx.reclaim()
-		return
-	}
-	ctx.deliver(ctx.err)
-}
-
-func (ctx *putCtx) deliver(err error) {
-	n, onDone := ctx.n, ctx.onDone
-	n.freePutCtx(ctx)
-	onDone(err)
-}
-
-// ServePut executes a put locally with no SLO (the vanilla write() path).
-// A crashed node refuses with ErrNodeDown.
-func (n *Node) ServePut(key int64, onDone func(error)) {
-	n.servePut(key, 0, false, onDone)
-}
-
-// ServePutSLO executes a put locally with a deadline SLO: the WAL append is
-// admitted through the node's Mitt* target and EBUSY surfaces before the
-// memtable mutates. onDone gets nil, a busy error, blockio.ErrIO, or
-// ErrNodeDown.
-func (n *Node) ServePutSLO(key int64, deadline time.Duration, onDone func(error)) {
-	n.servePut(key, deadline, false, onDone)
-}
-
-// ServePutDurable executes a put acked only at WAL durability — the quorum
-// replication path. Deadline 0 means durable-but-no-SLO (never rejected);
-// a positive deadline adds the WAL admission fast reject on top.
-func (n *Node) ServePutDurable(key int64, deadline time.Duration, onDone func(error)) {
-	n.servePut(key, deadline, true, onDone)
-}
-
-func (n *Node) servePut(key int64, deadline time.Duration, durable bool, onDone func(error)) {
-	if n.down {
-		n.refused++
-		onDone(ErrNodeDown)
-		return
-	}
-	n.served++
-	ctx := n.getPutCtx()
-	ctx.key, ctx.deadline, ctx.onDone = key, deadline, onDone
-	ctx.durable = durable
+	ctx.op, ctx.key, ctx.deadline, ctx.onDone, ctx.h = op, key, deadline, onDone, h
 	n.link(&ctx.live)
 	if n.cfg.CPU != nil && n.cfg.CPUPerOp > 0 {
 		n.cfg.CPU.Run(n.cfg.CPUPerOp, ctx.workFn)
@@ -934,11 +820,13 @@ type Cluster struct {
 	pools *Pools
 }
 
-// callCtx is a pooled replica call: request hop → serve → response hop.
+// callCtx is a pooled replica call, get or put: request hop → serve →
+// response hop, or no response hop at all for a one-way put (nil onDone).
 // Its three callbacks are bound once, so a call allocates nothing in
 // steady state.
 type callCtx struct {
 	c        *Cluster
+	op       serveOp
 	node     int
 	key      int64
 	deadline time.Duration
@@ -950,11 +838,21 @@ type callCtx struct {
 	replyFn func()      // pre-bound (*callCtx).reply
 }
 
+func (ctx *callCtx) bind() {
+	ctx.sendFn = ctx.send
+	ctx.serveFn = ctx.serve
+	ctx.replyFn = ctx.reply
+}
+
 func (ctx *callCtx) send() {
-	ctx.c.Nodes[ctx.node].ServeGet(ctx.key, ctx.deadline, ctx.serveFn)
+	ctx.c.Nodes[ctx.node].serve(ctx.op, ctx.key, ctx.deadline, ctx.serveFn, nil)
 }
 
 func (ctx *callCtx) serve(err error) {
+	if ctx.onDone == nil { // one-way: nobody waits for the ack
+		ctx.c.pools.calls.release(ctx)
+		return
+	}
 	ctx.err = err
 	if errors.Is(err, ErrRevoked) {
 		// Teardown harvest of a stranded serve context: the engine is about
@@ -969,120 +867,43 @@ func (ctx *callCtx) serve(err error) {
 
 func (ctx *callCtx) reply() {
 	c, onDone, err := ctx.c, ctx.onDone, ctx.err
-	ctx.onDone = nil
-	ctx.err = nil
-	c.pools.calls = append(c.pools.calls, ctx)
+	ctx.onDone, ctx.err = nil, nil
+	c.pools.calls.release(ctx)
 	onDone(err)
+}
+
+func (c *Cluster) call(op serveOp, node int, key int64, deadline time.Duration, onDone func(error)) {
+	ctx := acquire(&c.pools.calls)
+	ctx.c = c // pooled across fleets: rebind the owner
+	ctx.op, ctx.node, ctx.key, ctx.deadline, ctx.onDone = op, node, key, deadline, onDone
+	c.Net.Send(ctx.sendFn)
 }
 
 // ReplicaCall sends a get to one node over the network and hands back the
 // result after the response hop; the shared plumbing under every strategy.
 func (c *Cluster) ReplicaCall(node int, key int64, deadline time.Duration, onDone func(error)) {
-	var ctx *callCtx
-	if n := len(c.pools.calls); n > 0 {
-		ctx = c.pools.calls[n-1]
-		c.pools.calls = c.pools.calls[:n-1]
-	} else {
-		ctx = &callCtx{}
-		ctx.sendFn = ctx.send
-		ctx.serveFn = ctx.serve
-		ctx.replyFn = ctx.reply
-	}
-	ctx.c = c // pooled across fleets: rebind the owner
-	ctx.node, ctx.key, ctx.deadline, ctx.onDone = node, key, deadline, onDone
-	c.Net.Send(ctx.sendFn)
-}
-
-// putCallCtx is the pooled put twin of callCtx: request hop → serve →
-// response hop (or no hop at all for one-way fire-and-forget writes).
-type putCallCtx struct {
-	c        *Cluster
-	node     int
-	key      int64
-	deadline time.Duration
-	onDone   func(error)
-	err      error
-	oneway   bool
-	durable  bool
-
-	sendFn  func()      // pre-bound (*putCallCtx).send
-	serveFn func(error) // pre-bound (*putCallCtx).serve
-	replyFn func()      // pre-bound (*putCallCtx).reply
-}
-
-func (ctx *putCallCtx) send() {
-	if ctx.durable {
-		ctx.c.Nodes[ctx.node].ServePutDurable(ctx.key, ctx.deadline, ctx.serveFn)
-		return
-	}
-	ctx.c.Nodes[ctx.node].ServePutSLO(ctx.key, ctx.deadline, ctx.serveFn)
-}
-
-func (ctx *putCallCtx) serve(err error) {
-	if ctx.oneway {
-		c := ctx.c
-		ctx.onDone, ctx.err = nil, nil
-		c.pools.putCalls = append(c.pools.putCalls, ctx)
-		return
-	}
-	ctx.err = err
-	if errors.Is(err, ErrRevoked) {
-		// Teardown harvest: resolve in place, as in callCtx.serve.
-		ctx.reply()
-		return
-	}
-	ctx.c.Net.Send(ctx.replyFn)
-}
-
-func (ctx *putCallCtx) reply() {
-	c, onDone, err := ctx.c, ctx.onDone, ctx.err
-	ctx.onDone, ctx.err = nil, nil
-	c.pools.putCalls = append(c.pools.putCalls, ctx)
-	onDone(err)
-}
-
-func (c *Cluster) getPutCall() *putCallCtx {
-	var ctx *putCallCtx
-	if n := len(c.pools.putCalls); n > 0 {
-		ctx = c.pools.putCalls[n-1]
-		c.pools.putCalls = c.pools.putCalls[:n-1]
-	} else {
-		ctx = &putCallCtx{}
-		ctx.sendFn = ctx.send
-		ctx.serveFn = ctx.serve
-		ctx.replyFn = ctx.reply
-	}
-	ctx.c = c // pooled across fleets: rebind the owner
-	return ctx
+	c.call(opGet, node, key, deadline, onDone)
 }
 
 // PutCall sends a put to one node over the network and hands back the ack
-// after the response hop; the shared plumbing under every put strategy.
+// after the response hop.
 func (c *Cluster) PutCall(node int, key int64, deadline time.Duration, onDone func(error)) {
-	ctx := c.getPutCall()
-	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, deadline, onDone, false
-	ctx.durable = false
-	c.Net.Send(ctx.sendFn)
+	c.call(opPutSLO, node, key, deadline, onDone)
 }
 
 // PutDurableCall is PutCall with durable-ack semantics: the serving node acks
 // only after the WAL group commit, so quorum strategies compare like for like
 // (deadline 0 = durable vanilla, never rejected; positive = fast-rejectable).
+// It is the shared plumbing under every put strategy.
 func (c *Cluster) PutDurableCall(node int, key int64, deadline time.Duration, onDone func(error)) {
-	ctx := c.getPutCall()
-	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, deadline, onDone, false
-	ctx.durable = true
-	c.Net.Send(ctx.sendFn)
+	c.call(opPutDurable, node, key, deadline, onDone)
 }
 
 // PutOneWay fires a put at a node with neither a reply hop nor an ack — the
 // fire-and-forget background-write shape (fig13's 10% write mix), routed
 // through the traced/pooled serve path instead of raw closures.
 func (c *Cluster) PutOneWay(node int, key int64) {
-	ctx := c.getPutCall()
-	ctx.node, ctx.key, ctx.deadline, ctx.onDone, ctx.oneway = node, key, 0, nil, true
-	ctx.durable = false
-	c.Net.Send(ctx.sendFn)
+	c.call(opPutSLO, node, key, 0, nil)
 }
 
 // NewCluster builds nodes 0..n-1 from a template config (Index overridden
@@ -1129,12 +950,12 @@ func (c *Cluster) ReplicasInto(key int64, buf []int) []int {
 // they queue — the §7.5 mechanism that makes hedging backfire on fast SSDs
 // ("12 threads on a 8-thread machine cause the long tail").
 type CPUPool struct {
-	eng     *sim.Engine
-	cores   int
-	busy    int
-	queue   []cpuTask
-	head    int
-	runFree []*cpuRun
+	eng   *sim.Engine
+	cores int
+	busy  int
+	queue []cpuTask
+	head  int
+	runs  freelist[cpuRun]
 }
 
 type cpuTask struct {
@@ -1150,10 +971,12 @@ type cpuRun struct {
 	stepFn func() // pre-bound r.step
 }
 
+func (r *cpuRun) bind() { r.stepFn = r.step }
+
 func (r *cpuRun) step() {
 	p, fn := r.p, r.fn
 	r.fn = nil
-	p.runFree = append(p.runFree, r)
+	p.runs.release(r)
 	p.busy--
 	fn()
 	p.kick()
@@ -1197,15 +1020,8 @@ func (p *CPUPool) kick() {
 			p.head = 0
 		}
 		p.busy++
-		var r *cpuRun
-		if n := len(p.runFree); n > 0 {
-			r = p.runFree[n-1]
-			p.runFree = p.runFree[:n-1]
-		} else {
-			r = &cpuRun{p: p}
-			r.stepFn = r.step
-		}
-		r.fn = t.fn
+		r := acquire(&p.runs)
+		r.p, r.fn = p, t.fn
 		p.eng.After(t.d, r.stepFn)
 	}
 }

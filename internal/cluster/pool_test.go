@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mittos/internal/blockio"
+	"mittos/internal/netsim"
 	"mittos/internal/noise"
 	"mittos/internal/sim"
 )
@@ -106,5 +109,153 @@ func TestTiedRevokeThenComplete(t *testing.T) {
 	c.Eng.RunFor(5 * time.Second)
 	if after != 20 {
 		t.Fatalf("post-revocation gets completed %d of 20", after)
+	}
+}
+
+// checkDrained asserts a freelist got back everything it handed out, each
+// object exactly once, and was used at all.
+func checkDrained[T any](t *testing.T, leg, name string, f *freelist[T]) {
+	t.Helper()
+	if f.out != 0 {
+		t.Errorf("%s: %s has %d objects outstanding after the drain", leg, name, f.out)
+	}
+	seen := make(map[*T]bool, len(f.free))
+	for _, x := range f.free {
+		if seen[x] {
+			t.Errorf("%s: %s holds %p twice (double release)", leg, name, x)
+		}
+		seen[x] = true
+	}
+}
+
+// TestClientOpsReturnToPools runs every pooled get and put strategy through
+// a leg with one contended replica and a mid-run crash, drains the leg the
+// way an experiment arena tears down (ReclaimStranded on every node), and
+// checks that every freelist in the shared Pools got each object back
+// exactly once. One Pools bundle carries across the legs, as it does
+// across an arena's legs.
+func TestClientOpsReturnToPools(t *testing.T) {
+	pools := &Pools{}
+	check := func(leg string) {
+		t.Helper()
+		checkDrained(t, leg, "serves", &pools.serves)
+		checkDrained(t, leg, "handles", &pools.handles)
+		checkDrained(t, leg, "calls", &pools.calls)
+		checkDrained(t, leg, "getOps", &pools.getOps)
+		checkDrained(t, leg, "timeoutOps", &pools.timeoutOps)
+		checkDrained(t, leg, "timeoutAtts", &pools.timeoutAtts)
+		checkDrained(t, leg, "mittOps", &pools.mittOps)
+		checkDrained(t, leg, "putOps", &pools.putOps)
+		checkDrained(t, leg, "putCopies", &pools.putCopies)
+	}
+	// Every freelist in Pools must be in the list above.
+	lists := 0
+	pt := reflect.TypeOf(Pools{})
+	for i := 0; i < pt.NumField(); i++ {
+		if strings.HasPrefix(pt.Field(i).Type.Name(), "freelist[") {
+			lists++
+		}
+	}
+	if lists != 9 {
+		t.Fatalf("Pools has %d freelists; check covers 9", lists)
+	}
+
+	const ops = 200
+	leg := func(name string, issue func(c *Cluster, key int64, done func())) {
+		eng := sim.NewEngine()
+		net := netsim.New(eng, netsim.DefaultConfig(), sim.NewRNG(61, name+"-net"))
+		tmpl := diskNodeTemplate(true, 10000)
+		tmpl.Pools = pools
+		c := NewCluster(eng, net, 5, 3, tmpl, sim.NewRNG(62, name))
+		st := noise.NewSteady(eng, c.Nodes[0].NoiseSink(), sim.NewRNG(5, "noise"),
+			blockio.Read, 1<<20, 4, blockio.ClassBestEffort, 4, 99, 500<<30)
+		st.Start()
+		finished := 0
+		done := func() { finished++ }
+		for i := 0; i < ops; i++ {
+			key := int64(i)
+			eng.After(time.Duration(i)*500*time.Microsecond, func() { issue(c, key, done) })
+		}
+		// Crash node 1 at the first 100µs tick past 30ms that finds serve
+		// contexts in flight there, so the abort path runs too.
+		inflight := false
+		var crash func()
+		crash = func() {
+			inflight = c.Nodes[1].liveHead != nil
+			if inflight || eng.Now() >= sim.Time(60*time.Millisecond) {
+				c.Nodes[1].Crash()
+				return
+			}
+			eng.After(100*time.Microsecond, crash)
+		}
+		eng.After(30*time.Millisecond, crash)
+		eng.After(70*time.Millisecond, c.Nodes[1].Revive)
+		eng.RunFor(150 * time.Millisecond)
+		st.Stop()
+		eng.RunFor(10 * time.Second)
+		for _, n := range c.Nodes {
+			n.ReclaimStranded()
+		}
+		if finished != ops {
+			t.Errorf("%s: %d of %d ops finished", name, finished, ops)
+		}
+		if !inflight {
+			t.Errorf("%s: the crash aborted nothing; the crash path was not exercised", name)
+		}
+		check(name)
+	}
+
+	gets := []struct {
+		name string
+		mk   func(c *Cluster) Strategy
+	}{
+		{"Base", func(c *Cluster) Strategy { return &BaseStrategy{C: c} }},
+		{"AppTO", func(c *Cluster) Strategy { return &TimeoutStrategy{C: c, TO: 5 * time.Millisecond} }},
+		{"Clone", func(c *Cluster) Strategy { return &CloneStrategy{C: c, RNG: sim.NewRNG(9, "clone")} }},
+		{"Hedged", func(c *Cluster) Strategy { return &HedgedStrategy{C: c, HedgeAfter: 5 * time.Millisecond} }},
+		{"MittOS", func(c *Cluster) Strategy {
+			return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond, UseWaitHint: true}
+		}},
+	}
+	for _, g := range gets {
+		var s Strategy
+		leg("get/"+g.name, func(c *Cluster, key int64, done func()) {
+			if s == nil {
+				s = g.mk(c)
+			}
+			s.Get(key, func(GetResult) { done() })
+		})
+	}
+	puts := []struct {
+		name string
+		mk   func(c *Cluster) PutStrategy
+	}{
+		{"Base", func(c *Cluster) PutStrategy { return &BasePut{C: c} }},
+		{"AppTO", func(c *Cluster) PutStrategy { return &TimeoutPut{C: c, TO: 5 * time.Millisecond} }},
+		{"Hedged", func(c *Cluster) PutStrategy { return &HedgedPut{C: c, HedgeAfter: 5 * time.Millisecond} }},
+		{"MittOS", func(c *Cluster) PutStrategy {
+			return &MittOSPut{C: c, Deadline: 10 * time.Millisecond, UseWaitHint: true}
+		}},
+	}
+	for _, p := range puts {
+		var s PutStrategy
+		leg("put/"+p.name, func(c *Cluster, key int64, done func()) {
+			if s == nil {
+				s = p.mk(c)
+			}
+			s.Put(key, func(PutResult) { done() })
+		})
+		checkConserved(t, s.Counters())
+	}
+	for name, n := range map[string]int{
+		"serves": len(pools.serves.free), "handles": len(pools.handles.free),
+		"calls": len(pools.calls.free), "getOps": len(pools.getOps.free),
+		"timeoutOps": len(pools.timeoutOps.free), "timeoutAtts": len(pools.timeoutAtts.free),
+		"mittOps": len(pools.mittOps.free), "putOps": len(pools.putOps.free),
+		"putCopies": len(pools.putCopies.free),
+	} {
+		if n == 0 {
+			t.Errorf("%s was never used; the legs do not cover it", name)
+		}
 	}
 }

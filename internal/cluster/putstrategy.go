@@ -30,6 +30,9 @@ type PutResult struct {
 type PutStrategy interface {
 	Name() string
 	Put(key int64, onDone func(PutResult))
+	// Counters is the strategy's accounting (promoted from the embedded
+	// PutCounters).
+	Counters() *PutCounters
 }
 
 // quorumVerdict is a quorumState transition.
@@ -114,6 +117,9 @@ type PutCounters struct {
 	WastedWrites uint64
 }
 
+// Counters implements PutStrategy for every strategy embedding PutCounters.
+func (pc *PutCounters) Counters() *PutCounters { return pc }
+
 func (pc *PutCounters) count(err error) {
 	switch {
 	case err == nil:
@@ -136,10 +142,152 @@ func quorumW(c *Cluster, w int) int {
 	return c.R/2 + 1
 }
 
-// putTerminalObserve feeds the client-visible quorum-assembly latency into
-// the key's primary-replica span histograms (the put path's quorum stage).
-func putTerminalObserve(c *Cluster, primary int, lat time.Duration) {
-	c.Nodes[primary].ObservePutQuorum(lat)
+// putPolicy is what a put strategy adds to the shared put kernel: what to
+// do with a reply that leaves the quorum pending (a refusal, or an ack
+// still short of W), and what to do when its timer fires before the
+// verdict. Everything else — counting, the verdict, late-copy waste,
+// pooling — is putOp's.
+type putPolicy interface {
+	PutStrategy
+	onPending(op *putOp, node int, err error)
+	onTimer(op *putOp)
+}
+
+// putOp is the pooled per-put kernel every put strategy runs on: the W-of-N
+// quorumState embedded by value, the ring walk extra copies draw from, one
+// optional timer, and the exactly-once terminal. refs counts the copies
+// still out plus an armed timer, so the op outlives the stragglers that
+// reply after the verdict. The timer is an engine-owned recycled event that
+// cannot be cancelled; it stays quiet when it finds the quorum decided.
+type putOp struct {
+	c        *Cluster
+	pol      putPolicy
+	pc       *PutCounters
+	key      int64
+	start    sim.Time
+	onDone   func(PutResult)
+	q        quorumState
+	cands    ringCandidates
+	refs     int
+	timerFn  func() // pre-bound op.timerFire
+	replicas []int
+	rejects  []putReject // MittOSPut's last-ditch pool, reused across puts
+}
+
+// putCopy is the pooled per-copy context: a reply must know the node it
+// came from (MittOSPut's last-ditch pool records it) and whether the copy
+// was an extra (only an extra's late reply is wasted work), so each
+// in-flight copy carries one of these instead of a closure.
+type putCopy struct {
+	op    *putOp
+	node  int
+	extra bool
+	fn    func(error) // pre-bound cp.reply
+}
+
+func (op *putOp) bind()   { op.timerFn = op.timerFire }
+func (cp *putCopy) bind() { cp.fn = cp.reply }
+
+// newPut starts one put on the kernel; the strategy then arms its timer,
+// if it has one, and sends the base copies.
+func (c *Cluster) newPut(pol putPolicy, w int, key int64, onDone func(PutResult)) *putOp {
+	op := acquire(&c.pools.putOps)
+	op.c, op.pol, op.pc = c, pol, pol.Counters() // pooled across fleets: rebind the owner
+	op.pc.Puts++
+	op.key, op.start, op.onDone = key, c.Eng.Now(), onDone
+	op.q = quorumState{w: quorumW(c, w)}
+	op.replicas = c.ReplicasInto(key, op.replicas)
+	op.cands = newRingCandidates(c, op.replicas[0])
+	op.rejects = op.rejects[:0]
+	return op
+}
+
+// arm schedules the strategy's timer, which holds a reference until it fires.
+func (op *putOp) arm(d time.Duration) {
+	op.refs++
+	op.c.Eng.After(d, op.timerFn)
+}
+
+// sendBase sends one copy to each of the key's replicas.
+func (op *putOp) sendBase(deadline time.Duration) {
+	for _, r := range op.replicas {
+		op.send(r, deadline, false)
+	}
+}
+
+func (op *putOp) send(node int, deadline time.Duration, extra bool) {
+	op.q.add(1)
+	op.refs++
+	op.pc.CopiesSent++
+	cp := acquire(&op.c.pools.putCopies)
+	cp.op, cp.node, cp.extra = op, node, extra
+	op.c.PutDurableCall(node, op.key, deadline, cp.fn)
+}
+
+// handoff sends up to n extra copies to the next live ring nodes and
+// reports whether any went out.
+func (op *putOp) handoff(n int, deadline time.Duration) bool {
+	sent := false
+	for ; n > 0; n-- {
+		node := op.cands.take()
+		if node < 0 {
+			break
+		}
+		sent = true
+		op.send(node, deadline, true)
+	}
+	return sent
+}
+
+func (op *putOp) deref() {
+	op.refs--
+	if op.refs > 0 {
+		return
+	}
+	op.onDone = nil
+	op.c.pools.putOps.release(op)
+}
+
+func (op *putOp) terminal(err error) {
+	lat := op.c.Eng.Now().Sub(op.start)
+	if err == nil {
+		op.pc.Quorums++
+		op.c.Nodes[op.replicas[0]].ObservePutQuorum(lat)
+	} else {
+		op.pc.Failed++
+	}
+	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
+}
+
+func (cp *putCopy) reply(err error) {
+	op, node, extra := cp.op, cp.node, cp.extra
+	cp.op = nil
+	op.c.pools.putCopies.release(cp)
+	op.pc.count(err)
+	switch op.q.report(err) {
+	case quorumReached:
+		op.terminal(nil)
+	case quorumLate:
+		if extra && wasted(err) {
+			op.pc.WastedWrites++ // the extra copy landed after the verdict
+		}
+	case quorumPending:
+		op.pol.onPending(op, node, err)
+		if op.q.pending() == 0 {
+			// Everything replied short of W and the policy sent nothing
+			// more: the put fails.
+			op.q.fail()
+			op.terminal(ErrQuorumFailed)
+		}
+	}
+	op.deref()
+}
+
+func (op *putOp) timerFire() {
+	if !op.q.done {
+		op.pol.onTimer(op)
+	}
+	op.deref()
 }
 
 // BasePut is vanilla quorum replication: send one copy to each of the key's
@@ -154,81 +302,17 @@ type BasePut struct {
 	PutCounters
 }
 
-// basePutOp is the pooled per-put context: the quorum state is embedded by
-// value and every copy shares one pre-bound reply callback, so a
-// steady-state put allocates nothing. Like every strategy op it pools on
-// the cluster's shared Pools bundle and rebinds its owner at acquire.
-// refs keeps the op alive until the
-// straggler replies after the verdict have been tallied.
-type basePutOp struct {
-	s        *BasePut
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
 // Name implements PutStrategy.
 func (s *BasePut) Name() string { return "Base" }
 
 // Put implements PutStrategy.
 func (s *BasePut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *basePutOp
-	p := s.C.pools
-	if n := len(p.basePutOps); n > 0 {
-		op = p.basePutOps[n-1]
-		p.basePutOps = p.basePutOps[:n-1]
-	} else {
-		op = &basePutOp{}
-		op.replyFn = op.reply
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.q.add(len(op.replicas))
-	op.refs = len(op.replicas)
-	s.CopiesSent += uint64(len(op.replicas))
-	for _, r := range op.replicas {
-		s.C.PutDurableCall(r, key, 0, op.replyFn)
-	}
+	s.C.newPut(s, s.W, key, onDone).sendBase(0)
 }
 
-func (op *basePutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.basePutOps = append(s.C.pools.basePutOps, op)
-}
-
-func (op *basePutOp) reply(err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		s.Quorums++
-		lat := s.C.Eng.Now().Sub(op.start)
-		putTerminalObserve(s.C, op.replicas[0], lat)
-		op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies})
-	case quorumPending:
-		if op.q.pending() == 0 {
-			// Everything replied and we are short of W: no extras in
-			// this strategy, so the put fails.
-			op.q.fail()
-			s.Failed++
-			op.onDone(PutResult{Latency: s.C.Eng.Now().Sub(op.start),
-				Acks: op.q.acks, Copies: op.q.copies, Err: ErrQuorumFailed})
-		}
-	}
-	op.deref()
-}
+// BasePut has no extras: a quorum short of W simply fails.
+func (s *BasePut) onPending(*putOp, int, error) {}
+func (s *BasePut) onTimer(*putOp)               {}
 
 // ringCandidates walks the consistent-hash ring past the key's replica set,
 // handing out each remaining node index once — the Dynamo-style sloppy-
@@ -257,6 +341,19 @@ func (rc *ringCandidates) take() int {
 	return -1
 }
 
+// handoffDown is the pending-reply hook TimeoutPut and HedgedPut share: a
+// crashed replica's refusal came back in one RTT, so its copy goes to the
+// ring now rather than after the timer. It reports whether a copy went out.
+func (op *putOp) handoffDown(err error) bool {
+	return errors.Is(err, ErrNodeDown) && op.handoff(1, 0)
+}
+
+// handoffMissing is the timer hook they share: hand the missing acks off to
+// the ring. The abandoned stragglers keep running (no revocation on the
+// write path), which is why their late acks are never waste but a
+// hand-off's are.
+func (op *putOp) handoffMissing() bool { return op.handoff(op.q.w-op.q.acks, 0) }
+
 // TimeoutPut is the "AppTO" write: quorum-replicate with no SLO and, after a
 // conservative timeout, hand the still-missing acks off to the next nodes on
 // the ring (there is nothing to cancel — the stragglers' WAL appends are
@@ -273,142 +370,27 @@ type TimeoutPut struct {
 	Retries uint64
 }
 
-// timeoutPutOp is the pooled per-put context. Base and handoff copies get
-// distinct pre-bound reply callbacks so the wasted-write accounting can
-// tell them apart without a per-copy closure. The handoff timer is an
-// engine-owned recycled event that cannot be cancelled; it holds a
-// reference and stays quiet when it finds the quorum already decided.
-type timeoutPutOp struct {
-	s        *TimeoutPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	baseFn   func(error) // pre-bound op.replyBase
-	extraFn  func(error) // pre-bound op.replyExtra
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
 // Name implements PutStrategy.
 func (s *TimeoutPut) Name() string { return "AppTO" }
 
 // Put implements PutStrategy.
 func (s *TimeoutPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *timeoutPutOp
-	p := s.C.pools
-	if n := len(p.timeoutPutOps); n > 0 {
-		op = p.timeoutPutOps[n-1]
-		p.timeoutPutOps = p.timeoutPutOps[:n-1]
-	} else {
-		op = &timeoutPutOp{}
-		op.baseFn = op.replyBase
-		op.extraFn = op.replyExtra
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.refs = 1 // the handoff timer
-	s.C.Eng.After(s.TO, op.timerFn)
-	for _, r := range op.replicas {
-		op.send(r, false)
+	op := s.C.newPut(s, s.W, key, onDone)
+	op.arm(s.TO)
+	op.sendBase(0)
+}
+
+// Both hand-offs, the crash one and the timer one, are retries.
+func (s *TimeoutPut) onPending(op *putOp, _ int, err error) {
+	if op.handoffDown(err) {
+		s.Retries++
 	}
 }
 
-func (op *timeoutPutOp) send(node int, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	fn := op.baseFn
-	if extra {
-		fn = op.extraFn
+func (s *TimeoutPut) onTimer(op *putOp) {
+	if op.handoffMissing() {
+		s.Retries++
 	}
-	s.C.PutDurableCall(node, op.key, 0, fn)
-}
-
-func (op *timeoutPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.timeoutPutOps = append(s.C.pools.timeoutPutOps, op)
-}
-
-func (op *timeoutPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
-	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
-}
-
-func (op *timeoutPutOp) replyBase(err error) { op.reply(false, err) }
-
-func (op *timeoutPutOp) replyExtra(err error) { op.reply(true, err) }
-
-func (op *timeoutPutOp) reply(extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the handoff copy landed after the verdict
-		}
-	case quorumPending:
-		if errors.Is(err, ErrNodeDown) {
-			// Crashed replica: its refusal came back in one RTT; hand
-			// off now rather than waiting out TO.
-			if n := op.cands.take(); n >= 0 {
-				s.Retries++
-				op.send(n, true)
-				break
-			}
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
-}
-
-func (op *timeoutPutOp) timerFire() {
-	s := op.s
-	if !op.q.done {
-		// Hand the missing acks off to the ring; the abandoned stragglers
-		// keep running (no revocation on the write path).
-		need := op.q.w - op.q.acks
-		sent := false
-		for i := 0; i < need; i++ {
-			n := op.cands.take()
-			if n < 0 {
-				break
-			}
-			sent = true
-			op.send(n, true)
-		}
-		if sent {
-			s.Retries++
-		}
-	}
-	op.deref()
 }
 
 // HedgedPut is the Dean & Barroso hedge applied to writes: quorum-replicate
@@ -426,135 +408,23 @@ type HedgedPut struct {
 	Hedges uint64
 }
 
-// hedgedPutOp is the pooled per-put context, structurally the same as
-// timeoutPutOp: the hedge timer holds a reference and no-ops after the
-// verdict, and base vs hedge copies use distinct pre-bound callbacks.
-type hedgedPutOp struct {
-	s        *HedgedPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	baseFn   func(error) // pre-bound op.replyBase
-	extraFn  func(error) // pre-bound op.replyExtra
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
 // Name implements PutStrategy.
 func (s *HedgedPut) Name() string { return "Hedged" }
 
 // Put implements PutStrategy.
 func (s *HedgedPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *hedgedPutOp
-	p := s.C.pools
-	if n := len(p.hedgedPutOps); n > 0 {
-		op = p.hedgedPutOps[n-1]
-		p.hedgedPutOps = p.hedgedPutOps[:n-1]
-	} else {
-		op = &hedgedPutOp{}
-		op.baseFn = op.replyBase
-		op.extraFn = op.replyExtra
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.refs = 1 // the hedge timer
-	s.C.Eng.After(s.HedgeAfter, op.timerFn)
-	for _, r := range op.replicas {
-		op.send(r, false)
-	}
+	op := s.C.newPut(s, s.W, key, onDone)
+	op.arm(s.HedgeAfter)
+	op.sendBase(0)
 }
 
-func (op *hedgedPutOp) send(node int, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	fn := op.baseFn
-	if extra {
-		fn = op.extraFn
+// Only the timer's hand-off is a hedge; a crash hand-off is not counted.
+func (s *HedgedPut) onPending(op *putOp, _ int, err error) { op.handoffDown(err) }
+
+func (s *HedgedPut) onTimer(op *putOp) {
+	if op.handoffMissing() {
+		s.Hedges++
 	}
-	s.C.PutDurableCall(node, op.key, 0, fn)
-}
-
-func (op *hedgedPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.hedgedPutOps = append(s.C.pools.hedgedPutOps, op)
-}
-
-func (op *hedgedPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
-	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
-}
-
-func (op *hedgedPutOp) replyBase(err error) { op.reply(false, err) }
-
-func (op *hedgedPutOp) replyExtra(err error) { op.reply(true, err) }
-
-func (op *hedgedPutOp) reply(extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the hedge lost the race
-		}
-	case quorumPending:
-		if errors.Is(err, ErrNodeDown) {
-			if n := op.cands.take(); n >= 0 {
-				op.send(n, true)
-				break
-			}
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
-}
-
-func (op *hedgedPutOp) timerFire() {
-	s := op.s
-	if !op.q.done {
-		need := op.q.w - op.q.acks
-		sent := false
-		for i := 0; i < need; i++ {
-			n := op.cands.take()
-			if n < 0 {
-				break
-			}
-			sent = true
-			op.send(n, true)
-		}
-		if sent {
-			s.Hedges++
-		}
-	}
-	op.deref()
 }
 
 // MittOSPut is the paper's contribution on the write path: every copy
@@ -587,113 +457,46 @@ type putReject struct {
 	wait time.Duration
 }
 
-// mittPutOp is the pooled per-put context; the rejects scratch is reused
-// across puts.
-type mittPutOp struct {
-	s        *MittOSPut
-	key      int64
-	start    sim.Time
-	onDone   func(PutResult)
-	q        quorumState
-	cands    ringCandidates
-	refs     int
-	replicas []int
-	rejects  []putReject
-}
-
-// mittPutCopy is the pooled per-copy context: unlike the other put
-// strategies, a MittOS reply needs to know which node it came from (the
-// rejects pool records it), so each in-flight copy carries one of these
-// instead of a closure.
-type mittPutCopy struct {
-	s     *MittOSPut
-	op    *mittPutOp
-	node  int
-	extra bool
-	fn    func(error) // pre-bound cp.reply
-}
-
 // Name implements PutStrategy.
 func (s *MittOSPut) Name() string { return "MittOS" }
 
 // Put implements PutStrategy.
 func (s *MittOSPut) Put(key int64, onDone func(PutResult)) {
-	s.Puts++
-	var op *mittPutOp
-	p := s.C.pools
-	if n := len(p.mittPutOps); n > 0 {
-		op = p.mittPutOps[n-1]
-		p.mittPutOps = p.mittPutOps[:n-1]
-	} else {
-		op = &mittPutOp{}
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.q = quorumState{w: quorumW(s.C, s.W)}
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	op.cands = newRingCandidates(s.C, op.replicas[0])
-	op.rejects = op.rejects[:0]
-	for _, r := range op.replicas {
-		op.send(r, s.Deadline, false)
-	}
+	s.C.newPut(s, s.W, key, onDone).sendBase(s.Deadline)
 }
 
-func (op *mittPutOp) send(node int, deadline time.Duration, extra bool) {
-	s := op.s
-	op.q.add(1)
-	op.refs++
-	s.CopiesSent++
-	var cp *mittPutCopy
-	p := s.C.pools
-	if n := len(p.mittPutCopies); n > 0 {
-		cp = p.mittPutCopies[n-1]
-		p.mittPutCopies = p.mittPutCopies[:n-1]
-	} else {
-		cp = &mittPutCopy{}
-		cp.fn = cp.reply
+func (s *MittOSPut) onTimer(*putOp) {}
+
+func (s *MittOSPut) onPending(op *putOp, node int, err error) {
+	busy := core.IsBusy(err)
+	if busy {
+		wait := time.Duration(0)
+		if be, ok := err.(*core.BusyError); ok {
+			wait = be.PredictedWait
+		}
+		op.rejects = append(op.rejects, putReject{node: node, wait: wait})
 	}
-	cp.s = s // pooled across fleets: rebind the owner
-	cp.op, cp.node, cp.extra = op, node, extra
-	s.C.PutDurableCall(node, op.key, deadline, cp.fn)
-}
-
-func (cp *mittPutCopy) reply(err error) {
-	s, op, node, extra := cp.s, cp.op, cp.node, cp.extra
-	cp.op = nil
-	s.C.pools.mittPutCopies = append(s.C.pools.mittPutCopies, cp)
-	op.reply(node, extra, err)
-}
-
-func (op *mittPutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
+	if (busy || errors.Is(err, ErrNodeDown)) && op.handoff(1, s.Deadline) {
+		// Instant failover: the refusal cost one RTT, not a queue wait.
+		// The replacement still carries the deadline.
+		s.Failovers++
 		return
 	}
-	s := op.s
-	op.onDone = nil
-	s.C.pools.mittPutOps = append(s.C.pools.mittPutOps, op)
-}
-
-func (op *mittPutOp) terminal(err error) {
-	s := op.s
-	lat := s.C.Eng.Now().Sub(op.start)
-	if err == nil {
-		s.Quorums++
-		putTerminalObserve(s.C, op.replicas[0], lat)
-	} else {
-		s.Failed++
+	if errors.Is(err, ErrRevoked) {
+		// Teardown harvest of a stranded copy: the engine is being reset,
+		// so sending last-ditch copies would only strand more contexts.
+		return
 	}
-	op.onDone(PutResult{Latency: lat, Acks: op.q.acks, Copies: op.q.copies, Err: err})
+	if op.q.w-op.q.acks > op.q.pending() {
+		s.lastDitch(op)
+	}
 }
 
 // lastDitch re-targets rejectors with the deadline disabled; they executed
-// nothing for the rejected copy, so a retry duplicates no work.
-func (op *mittPutOp) lastDitch() bool {
-	s := op.s
+// nothing for the rejected copy, so a retry duplicates no work. A rejector
+// that has crashed since is skipped, and still uses up one missing ack.
+func (s *MittOSPut) lastDitch(op *putOp) {
 	need := op.q.w - op.q.acks - op.q.pending()
-	sent := false
 	for ; need > 0 && len(op.rejects) > 0; need-- {
 		best := 0
 		if s.UseWaitHint {
@@ -709,51 +512,7 @@ func (op *mittPutOp) lastDitch() bool {
 		if s.C.Nodes[n].Down() {
 			continue
 		}
-		sent = true
 		s.LastDitch++
 		op.send(n, 0, true)
 	}
-	return sent || op.q.pending() > 0
-}
-
-func (op *mittPutOp) reply(node int, extra bool, err error) {
-	s := op.s
-	s.count(err)
-	switch op.q.report(err) {
-	case quorumReached:
-		op.terminal(nil)
-	case quorumLate:
-		if extra && wasted(err) {
-			s.WastedWrites++ // the failover landed after the verdict
-		}
-	case quorumPending:
-		if core.IsBusy(err) {
-			wait := time.Duration(0)
-			if be, ok := err.(*core.BusyError); ok {
-				wait = be.PredictedWait
-			}
-			op.rejects = append(op.rejects, putReject{node: node, wait: wait})
-		}
-		if core.IsBusy(err) || errors.Is(err, ErrNodeDown) {
-			// Instant failover: the refusal cost one RTT, not a queue
-			// wait. The replacement still carries the deadline.
-			if n := op.cands.take(); n >= 0 {
-				s.Failovers++
-				op.send(n, s.Deadline, true)
-				break
-			}
-		}
-		if errors.Is(err, ErrRevoked) {
-			// Teardown harvest of a stranded copy: the engine is being
-			// reset, so sending last-ditch copies would only strand more
-			// contexts. Fall through to the pending check.
-		} else if op.q.w-op.q.acks > op.q.pending() && op.lastDitch() {
-			break // last-ditch copies (or stragglers) still in flight
-		}
-		if op.q.pending() == 0 {
-			op.q.fail()
-			op.terminal(ErrQuorumFailed)
-		}
-	}
-	op.deref()
 }

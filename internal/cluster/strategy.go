@@ -35,10 +35,121 @@ type Strategy interface {
 	Get(key int64, onDone func(GetResult))
 }
 
-// replicaCall sends a get to one node over the network and hands back the
-// result; the shared plumbing under every strategy.
-func replicaCall(c *Cluster, node int, key int64, deadline time.Duration, onDone func(error)) {
-	c.ReplicaCall(node, key, deadline, onDone)
+// getReq is the state every pooled get op shares: its owner, the key and
+// its replica set, the start time, and the user's callback.
+type getReq struct {
+	c        *Cluster
+	key      int64
+	start    sim.Time
+	onDone   func(GetResult)
+	replicas []int // scratch, reused across gets
+}
+
+// begin binds a freshly acquired op to one get.
+func (r *getReq) begin(c *Cluster, key int64, onDone func(GetResult)) {
+	r.c, r.key, r.start, r.onDone = c, key, c.Eng.Now(), onDone
+	r.replicas = c.ReplicasInto(key, r.replicas)
+}
+
+// finish is the shared terminal: it builds the user-visible result and
+// takes the callback off the op, so the op can be recycled before the
+// callback runs.
+func (r *getReq) finish(tries int, err error) (func(GetResult), GetResult) {
+	onDone := r.onDone
+	r.onDone = nil
+	return onDone, GetResult{Latency: r.c.Eng.Now().Sub(r.start), Tries: tries, Err: err}
+}
+
+// getOp is the pooled per-get kernel under Base, Clone and Hedged: copies
+// go out to distinct replicas through one pre-bound reply callback, and the
+// first decisive reply wins. A node-down refusal is not decisive while a
+// sibling copy is still out; under Hedged it sends the hedge at once. A
+// copy that loses the race still holds a reference, and if its IO executed
+// it counts toward the strategy's WastedIOs. Tries is the number of copies
+// sent. Ops pool on the cluster's shared Pools bundle (not the strategy —
+// strategies are per-leg) and rebind their owner at acquire.
+type getOp struct {
+	getReq
+	wastedIOs *uint64 // the strategy's WastedIOs; nil for Base, whose one copy never loses
+	hedges    *uint64 // HedgedStrategy.Hedges; nil for strategies that never hedge
+	won       bool
+	sent      int         // copies sent so far
+	pending   int         // copies still awaiting a reply
+	refs      int         // replies still due plus the hedge timer
+	replyFn   func(error) // pre-bound op.reply
+	timerFn   func()      // pre-bound op.timerFire
+}
+
+func (op *getOp) bind() {
+	op.replyFn = op.reply
+	op.timerFn = op.timerFire
+}
+
+func (c *Cluster) newGetOp(key int64, onDone func(GetResult), wastedIOs, hedges *uint64) *getOp {
+	op := acquire(&c.pools.getOps)
+	op.begin(c, key, onDone)
+	op.wastedIOs, op.hedges = wastedIOs, hedges
+	op.sent, op.pending = 0, 0
+	return op
+}
+
+// send issues one more copy of the get, to node.
+func (op *getOp) send(node int) {
+	op.sent++
+	op.pending++
+	op.refs++
+	op.c.ReplicaCall(node, op.key, 0, op.replyFn)
+}
+
+func (op *getOp) deref() {
+	op.refs--
+	if op.refs > 0 {
+		return
+	}
+	op.won = false
+	op.c.pools.getOps.release(op)
+}
+
+func (op *getOp) reply(err error) {
+	if op.won {
+		if wasted(err) {
+			*op.wastedIOs++ // the losing copy's IO ran to completion
+		}
+		op.deref()
+		return
+	}
+	op.pending--
+	if errors.Is(err, ErrNodeDown) {
+		if op.hedges != nil && op.sent == 1 {
+			// Primary crashed: don't wait out HedgeAfter, go to the
+			// secondary now. The timer finds sent == 2 and stays quiet, so
+			// no third copy ever goes out.
+			op.send(op.replicas[1])
+			op.deref()
+			return
+		}
+		if op.pending > 0 {
+			op.deref()
+			return // that node crashed mid-flight; the sibling decides
+		}
+	}
+	op.won = true
+	// A primary that completes after a hedge went out must not report
+	// Tries: 1, hiding the duplicated IO from the per-try accounting.
+	onDone, res := op.finish(op.sent, err)
+	op.deref()
+	onDone(res)
+}
+
+// timerFire is the hedge timer: an engine-owned recycled event that cannot
+// be cancelled, so it holds a reference and stays quiet when it finds the
+// get already hedged or won.
+func (op *getOp) timerFire() {
+	if !op.won && op.sent == 1 {
+		*op.hedges++
+		op.send(op.replicas[1])
+	}
+	op.deref()
 }
 
 // BaseStrategy is vanilla MongoDB on vanilla Linux: ask the primary
@@ -47,45 +158,13 @@ type BaseStrategy struct {
 	C *Cluster
 }
 
-// baseOp is the pooled per-get context: one reply callback bound once, so a
-// steady-state get allocates nothing. Ops pool on the cluster's shared
-// Pools bundle (not the strategy — strategies are per-leg) and rebind their
-// owner at acquire.
-type baseOp struct {
-	s        *BaseStrategy
-	start    sim.Time
-	onDone   func(GetResult)
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
 // Name implements Strategy.
 func (s *BaseStrategy) Name() string { return "Base" }
 
 // Get implements Strategy.
 func (s *BaseStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *baseOp
-	p := s.C.pools
-	if n := len(p.baseOps); n > 0 {
-		op = p.baseOps[n-1]
-		p.baseOps = p.baseOps[:n-1]
-	} else {
-		op = &baseOp{}
-		op.replyFn = op.reply
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
-	replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
-}
-
-func (op *baseOp) reply(err error) {
-	s, onDone := op.s, op.onDone
-	lat := s.C.Eng.Now().Sub(op.start)
-	op.onDone = nil
-	s.C.pools.baseOps = append(s.C.pools.baseOps, op)
-	onDone(GetResult{Latency: lat, Tries: 1, Err: err})
+	op := s.C.newGetOp(key, onDone, nil, nil)
+	op.send(op.replicas[0])
 }
 
 // TimeoutStrategy is the "AppTO" comparison: cancel and retry on the next
@@ -110,12 +189,9 @@ type TimeoutStrategy struct {
 // completion, or the drop of its revoked IO) can still be in flight while
 // the next round runs; the op is reclaimed when its last attempt resolves.
 type timeoutOp struct {
-	s        *TimeoutStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	refs     int // live attempts holding this op
-	replicas []int
+	getReq
+	s    *TimeoutStrategy
+	refs int // live attempts holding this op
 }
 
 // timeoutAttempt is one retry round: request hop, serve callback, response
@@ -123,7 +199,6 @@ type timeoutOp struct {
 // engine-owned recycled event that cannot be cancelled, so it holds a
 // reference and no-ops when it finds the attempt already resolved.
 type timeoutAttempt struct {
-	s    *TimeoutStrategy
 	op   *timeoutOp
 	idx  int
 	done bool
@@ -137,42 +212,29 @@ type timeoutAttempt struct {
 	timerFn func()      // pre-bound a.timerFire: retry timer
 }
 
+func (op *timeoutOp) bind() {}
+
+func (a *timeoutAttempt) bind() {
+	a.sendFn = a.send
+	a.serveFn = a.serve
+	a.replyFn = a.reply
+	a.timerFn = a.timerFire
+}
+
 // Name implements Strategy.
 func (s *TimeoutStrategy) Name() string { return "AppTO" }
 
 // Get implements Strategy.
 func (s *TimeoutStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *timeoutOp
-	p := s.C.pools
-	if n := len(p.timeoutOps); n > 0 {
-		op = p.timeoutOps[n-1]
-		p.timeoutOps = p.timeoutOps[:n-1]
-	} else {
-		op = &timeoutOp{}
-	}
+	op := acquire(&s.C.pools.timeoutOps)
 	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
+	op.begin(s.C, key, onDone)
 	op.attempt(0)
 }
 
 func (op *timeoutOp) attempt(i int) {
 	s := op.s
-	var a *timeoutAttempt
-	p := s.C.pools
-	if n := len(p.timeoutAtts); n > 0 {
-		a = p.timeoutAtts[n-1]
-		p.timeoutAtts = p.timeoutAtts[:n-1]
-	} else {
-		a = &timeoutAttempt{}
-		a.sendFn = a.send
-		a.serveFn = a.serve
-		a.replyFn = a.reply
-		a.timerFn = a.timerFire
-	}
-	a.s = s // pooled across fleets: rebind the owner
+	a := acquire(&s.C.pools.timeoutAtts)
 	a.op, a.idx = op, i
 	op.refs++
 	if i < len(op.replicas)-1 {
@@ -189,9 +251,8 @@ func (op *timeoutOp) deref() {
 	if op.refs > 0 {
 		return
 	}
-	s := op.s
 	op.onDone = nil
-	s.C.pools.timeoutOps = append(s.C.pools.timeoutOps, op)
+	op.c.pools.timeoutOps.release(op)
 }
 
 func (a *timeoutAttempt) deref() {
@@ -199,10 +260,10 @@ func (a *timeoutAttempt) deref() {
 	if a.refs > 0 {
 		return
 	}
-	s, op := a.s, a.op
+	op := a.op
 	a.op, a.h, a.err = nil, nil, nil
 	a.done = false
-	s.C.pools.timeoutAtts = append(s.C.pools.timeoutAtts, a)
+	op.c.pools.timeoutAtts.release(a)
 	op.deref()
 }
 
@@ -214,7 +275,7 @@ func (a *timeoutAttempt) send() {
 		return
 	}
 	op := a.op
-	a.h = a.s.C.Nodes[op.replicas[a.idx]].ServeGetCancelable(op.key, 0, a.serveFn)
+	a.h = op.c.Nodes[op.replicas[a.idx]].ServeGetCancelable(op.key, 0, a.serveFn)
 }
 
 func (a *timeoutAttempt) serve(err error) {
@@ -232,12 +293,13 @@ func (a *timeoutAttempt) serve(err error) {
 		return
 	}
 	a.err = err
-	a.s.C.Net.Send(a.replyFn)
+	a.op.c.Net.Send(a.replyFn)
 }
 
 // reply is the response hop landing back at the client.
 func (a *timeoutAttempt) reply() {
-	s, op, err := a.s, a.op, a.err
+	op, err := a.op, a.err
+	s := op.s
 	if a.done {
 		if wasted(err) {
 			s.WastedIOs++ // revoked too late: the IO ran
@@ -258,17 +320,16 @@ func (a *timeoutAttempt) reply() {
 		a.deref()
 		return
 	}
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: a.idx + 1, Err: err}
-	onDone := op.onDone
+	onDone, res := op.finish(a.idx+1, err)
 	a.deref()
 	onDone(res)
 }
 
 func (a *timeoutAttempt) timerFire() {
-	s, op := a.s, a.op
+	op := a.op
 	if !a.done {
 		a.done = true
-		s.Retries++
+		op.s.Retries++
 		// Abandon the attempt AND revoke its IO, so the stale IO does not
 		// compete with every later attempt for the device.
 		if a.h != nil {
@@ -294,39 +355,12 @@ type CloneStrategy struct {
 	live []int // selection scratch, reused across gets
 }
 
-// cloneOp is the pooled per-get context: both copies share one reply
-// callback; refs keeps the op alive until the losing copy's late reply has
-// been counted.
-type cloneOp struct {
-	s        *CloneStrategy
-	start    sim.Time
-	onDone   func(GetResult)
-	won      bool
-	pending  int
-	tries    int
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	replicas []int
-}
-
 // Name implements Strategy.
 func (s *CloneStrategy) Name() string { return "Clone" }
 
 // Get implements Strategy.
 func (s *CloneStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *cloneOp
-	p := s.C.pools
-	if n := len(p.cloneOps); n > 0 {
-		op = p.cloneOps[n-1]
-		p.cloneOps = p.cloneOps[:n-1]
-	} else {
-		op = &cloneOp{}
-		op.replyFn = op.reply
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
+	op := s.C.newGetOp(key, onDone, &s.WastedIOs, nil)
 	// Select among live replicas only; cloning to a crashed node would
 	// just burn an RTT on a refusal. With every node up this filter is
 	// the identity and the random draws are unchanged.
@@ -336,60 +370,24 @@ func (s *CloneStrategy) Get(key int64, onDone func(GetResult)) {
 			s.live = append(s.live, r)
 		}
 	}
-	if len(s.live) == 0 {
+	switch len(s.live) {
+	case 0:
 		// Whole replica set down: fail fast via the primary's refusal.
-		op.tries, op.pending, op.refs = 1, 1, 1
-		replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
-		return
-	}
-	if len(s.live) == 1 {
+		op.send(op.replicas[0])
+	case 1:
 		// One survivor: a clone pair is impossible (the old code's
 		// RNG.Intn(0) panic); send a single copy.
-		op.tries, op.pending, op.refs = 1, 1, 1
-		replicaCall(s.C, s.live[0], key, 0, op.replyFn)
-		return
-	}
-	// Two distinct random replicas out of the live choices.
-	i := s.RNG.Intn(len(s.live))
-	j := s.RNG.Intn(len(s.live) - 1)
-	if j >= i {
-		j++
-	}
-	op.tries, op.pending, op.refs = 2, 2, 2
-	replicaCall(s.C, s.live[i], key, 0, op.replyFn)
-	replicaCall(s.C, s.live[j], key, 0, op.replyFn)
-}
-
-func (op *cloneOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	op.won = false
-	s.C.pools.cloneOps = append(s.C.pools.cloneOps, op)
-}
-
-func (op *cloneOp) reply(err error) {
-	s := op.s
-	if op.won {
-		if wasted(err) {
-			s.WastedIOs++ // the losing copy's IO ran to completion
+		op.send(s.live[0])
+	default:
+		// Two distinct random replicas out of the live choices.
+		i := s.RNG.Intn(len(s.live))
+		j := s.RNG.Intn(len(s.live) - 1)
+		if j >= i {
+			j++
 		}
-		op.deref()
-		return
+		op.send(s.live[i])
+		op.send(s.live[j])
 	}
-	op.pending--
-	if errors.Is(err, ErrNodeDown) && op.pending > 0 {
-		op.deref()
-		return // that node crashed mid-flight; the sibling decides
-	}
-	op.won = true
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: op.tries, Err: err}
-	onDone := op.onDone
-	op.deref()
-	onDone(res)
 }
 
 // HedgedStrategy sends a secondary request only after the first has been
@@ -406,108 +404,15 @@ type HedgedStrategy struct {
 	WastedIOs uint64
 }
 
-// hedgedOp is the pooled per-get context. The hedge timer is an
-// engine-owned recycled event that cannot be cancelled; it holds a
-// reference and stays quiet when it finds the get already hedged or won.
-type hedgedOp struct {
-	s        *HedgedStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	won      bool
-	sent     int // copies issued so far; the winner reports this as Tries
-	pending  int // copies still awaiting a reply
-	refs     int
-	replyFn  func(error) // pre-bound op.reply
-	timerFn  func()      // pre-bound op.timerFire
-	replicas []int
-}
-
 // Name implements Strategy.
 func (s *HedgedStrategy) Name() string { return "Hedged" }
 
 // Get implements Strategy.
 func (s *HedgedStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *hedgedOp
-	p := s.C.pools
-	if n := len(p.hedgedOps); n > 0 {
-		op = p.hedgedOps[n-1]
-		p.hedgedOps = p.hedgedOps[:n-1]
-	} else {
-		op = &hedgedOp{}
-		op.replyFn = op.reply
-		op.timerFn = op.timerFire
-	}
-	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
-	op.sent, op.pending = 1, 1
-	op.refs = 2 // the primary's reply plus the hedge timer
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
+	op := s.C.newGetOp(key, onDone, &s.WastedIOs, &s.Hedges)
+	op.refs++ // the hedge timer
 	s.C.Eng.After(s.HedgeAfter, op.timerFn)
-	replicaCall(s.C, op.replicas[0], key, 0, op.replyFn)
-}
-
-func (op *hedgedOp) hedge() {
-	op.sent = 2
-	op.pending++
-	op.refs++
-	replicaCall(op.s.C, op.replicas[1], op.key, 0, op.replyFn)
-}
-
-func (op *hedgedOp) timerFire() {
-	s := op.s
-	if !op.won && op.sent == 1 {
-		s.Hedges++
-		op.hedge()
-	}
-	op.deref()
-}
-
-func (op *hedgedOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	s := op.s
-	op.onDone = nil
-	op.won = false
-	s.C.pools.hedgedOps = append(s.C.pools.hedgedOps, op)
-}
-
-func (op *hedgedOp) reply(err error) {
-	s := op.s
-	if op.won {
-		if wasted(err) {
-			s.WastedIOs++ // the losing copy's IO ran to completion
-		}
-		op.deref()
-		return
-	}
-	op.pending--
-	if errors.Is(err, ErrNodeDown) {
-		if op.sent == 1 {
-			// Primary crashed: don't wait out HedgeAfter, go to the
-			// secondary now. The timer finds sent == 2 and stays quiet, so
-			// no third copy ever goes out.
-			op.hedge()
-			op.deref()
-			return
-		}
-		if op.pending > 0 {
-			op.deref()
-			return // the other copy may still answer
-		}
-	}
-	op.won = true
-	// A primary that completes after the hedge fired must not report
-	// Tries: 1, hiding the duplicated IO from the per-try accounting. The
-	// winner reports how many copies were issued.
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: op.sent, Err: err}
-	onDone := op.onDone
-	op.deref()
-	onDone(res)
+	op.send(op.replicas[0])
 }
 
 // SnitchStrategy keeps an EWMA of each replica's recent latency and always
@@ -548,7 +453,7 @@ func (s *SnitchStrategy) Get(key int64, onDone func(GetResult)) {
 			best, bestScore = r, score
 		}
 	}
-	replicaCall(s.C, best, key, 0, func(err error) {
+	s.C.ReplicaCall(best, key, 0, func(err error) {
 		lat := s.C.Eng.Now().Sub(start)
 		prev, seen := s.ewma[best]
 		if !seen {
@@ -661,19 +566,22 @@ type MittOSStrategy struct {
 
 // mittOp is the pooled per-get context: attempts are strictly sequential
 // (at most one replica call outstanding), so one context with pre-bound
-// callbacks and per-op replica/wait scratch covers the whole failover chain.
+// callbacks and per-op wait scratch covers the whole failover chain.
 type mittOp struct {
-	s        *MittOSStrategy
-	key      int64
-	start    sim.Time
-	onDone   func(GetResult)
-	idx      int
-	err      error       // the refusal carried across a RetryOverhead delay
-	replyFn  func(error) // pre-bound op.reply
-	lastFn   func(error) // pre-bound op.lastDitchReply
-	nextFn   func()      // pre-bound op.next: post-refusal failover step
-	replicas []int
-	waits    []time.Duration
+	getReq
+	s       *MittOSStrategy
+	idx     int
+	err     error       // the refusal carried across a RetryOverhead delay
+	replyFn func(error) // pre-bound op.reply
+	lastFn  func(error) // pre-bound op.lastDitchReply
+	nextFn  func()      // pre-bound op.next: post-refusal failover step
+	waits   []time.Duration
+}
+
+func (op *mittOp) bind() {
+	op.replyFn = op.reply
+	op.lastFn = op.lastDitchReply
+	op.nextFn = op.next
 }
 
 // Name implements Strategy.
@@ -681,23 +589,10 @@ func (s *MittOSStrategy) Name() string { return "MittOS" }
 
 // Get implements Strategy.
 func (s *MittOSStrategy) Get(key int64, onDone func(GetResult)) {
-	var op *mittOp
-	p := s.C.pools
-	if n := len(p.mittOps); n > 0 {
-		op = p.mittOps[n-1]
-		p.mittOps = p.mittOps[:n-1]
-	} else {
-		op = &mittOp{}
-		op.replyFn = op.reply
-		op.lastFn = op.lastDitchReply
-		op.nextFn = op.next
-	}
+	op := acquire(&s.C.pools.mittOps)
 	op.s = s // pooled across fleets: rebind the owner
-	op.key = key
-	op.start = s.C.Eng.Now()
-	op.onDone = onDone
+	op.begin(s.C, key, onDone)
 	op.idx = 0
-	op.replicas = s.C.ReplicasInto(key, op.replicas)
 	op.waits = op.waits[:0]
 	for range op.replicas {
 		op.waits = append(op.waits, 0)
@@ -711,7 +606,7 @@ func (op *mittOp) attempt() {
 	if op.idx == len(op.replicas)-1 && !s.UseWaitHint {
 		deadline = 0 // 3rd try disables the deadline (§5)
 	}
-	replicaCall(s.C, op.replicas[op.idx], op.key, deadline, op.replyFn)
+	s.C.ReplicaCall(op.replicas[op.idx], op.key, deadline, op.replyFn)
 }
 
 func (op *mittOp) reply(err error) {
@@ -770,7 +665,7 @@ func (op *mittOp) next() {
 		op.deliver(len(op.replicas), err)
 		return
 	}
-	replicaCall(s.C, op.replicas[best], op.key, 0, op.lastFn)
+	s.C.ReplicaCall(op.replicas[best], op.key, 0, op.lastFn)
 }
 
 func (op *mittOp) lastDitchReply(err error) {
@@ -778,10 +673,8 @@ func (op *mittOp) lastDitchReply(err error) {
 }
 
 func (op *mittOp) deliver(tries int, err error) {
-	s := op.s
-	res := GetResult{Latency: s.C.Eng.Now().Sub(op.start), Tries: tries, Err: err}
-	onDone := op.onDone
-	op.onDone, op.err = nil, nil
-	s.C.pools.mittOps = append(s.C.pools.mittOps, op)
+	onDone, res := op.finish(tries, err)
+	op.err = nil
+	op.c.pools.mittOps.release(op)
 	onDone(res)
 }

@@ -53,7 +53,7 @@ func (s *TiedStrategy) Get(key int64, onDone func(GetResult)) {
 	}
 	if len(s.live) == 0 {
 		// Whole replica set down: fail fast via the primary's refusal.
-		replicaCall(s.C, replicas[0], key, 0, func(err error) {
+		s.C.ReplicaCall(replicas[0], key, 0, func(err error) {
 			onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: 1, Err: err})
 		})
 		return
@@ -61,7 +61,7 @@ func (s *TiedStrategy) Get(key int64, onDone func(GetResult)) {
 	if len(s.live) == 1 {
 		// One survivor: a tied pair is impossible (the old code's
 		// RNG.Intn(0) panic); send a single plain copy.
-		replicaCall(s.C, s.live[0], key, 0, func(err error) {
+		s.C.ReplicaCall(s.live[0], key, 0, func(err error) {
 			onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: 1, Err: err})
 		})
 		return

@@ -159,10 +159,3 @@ func Fig10(opt Options) *Result {
 	}
 	return res
 }
-
-// deadlineFor exposes the measured baseline p95 for reuse by callers that
-// need the paper's deadline value without rerunning Fig5.
-func deadlineFor(opt Options, kind fleetKind, withNoise bool) time.Duration {
-	p95, _ := baselineP95(opt, kind, withNoise)
-	return p95
-}

@@ -315,7 +315,7 @@ func LoadSweep(opt Options) *Result {
 						o.missed += cl.SLOMissed()
 					}
 					if pi == 1 {
-						pc := putCounters(ps)
+						pc := ps.Counters()
 						o.busy, o.wasted = pc.Busy, pc.WastedWrites
 					} else {
 						o.busy, o.wasted = sweepStratDiag(strat)

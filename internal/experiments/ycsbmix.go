@@ -34,21 +34,6 @@ func (w ycsbMixWorkload) config(keys int64) ycsb.Config {
 	return cfg
 }
 
-// putCounters reaches a put strategy's embedded accounting.
-func putCounters(ps cluster.PutStrategy) *cluster.PutCounters {
-	switch t := ps.(type) {
-	case *cluster.BasePut:
-		return &t.PutCounters
-	case *cluster.TimeoutPut:
-		return &t.PutCounters
-	case *cluster.HedgedPut:
-		return &t.PutCounters
-	case *cluster.MittOSPut:
-		return &t.PutCounters
-	}
-	return nil
-}
-
 // startMixedClients launches opt.Clients mixed read/write YCSB clients: the
 // workload mix decides per op whether the read strategy or the put strategy
 // fires (rmw chains both). Streams are salted "ymix" so the mixes are
@@ -175,9 +160,7 @@ func YCSBMix(opt Options) *Result {
 				f.eng.RunFor(5 * time.Second) // drain in-flight quorums
 				io, _ := collectClients(clients)
 				o := legOut{io: io, puts: collectPuts(clients)}
-				if pc := putCounters(ps); pc != nil {
-					o.counters = *pc
-				}
+				o.counters = *ps.Counters()
 				for _, cl := range clients {
 					o.finished += cl.Finished()
 					o.errors += cl.Errors()

@@ -465,9 +465,6 @@ func (c *CFQ) EachQueued(proc int, fn func(*blockio.Request) bool) {
 	}
 }
 
-// OnDevice returns the number of CFQ-dispatched IOs still at the device.
-func (c *CFQ) OnDevice() int { return c.onDevice }
-
 // pump dispatches IOs while the device accepts them, keeping at most
 // Quantum outstanding.
 func (c *CFQ) pump() {

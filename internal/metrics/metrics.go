@@ -293,11 +293,6 @@ func (s *Set) Node(i int) *Recorder {
 // Counter reads one counter (tests and snapshots).
 func (s *Set) Counter(r Resource, c Counter) uint64 { return s.counters[r][c] }
 
-// HistOf returns one histogram for inspection (may have N == 0).
-func (s *Set) HistOf(r Resource, k HistKind, op blockio.Op) *Hist {
-	return &s.hists[r][k][opIndex(op)]
-}
-
 func opIndex(op blockio.Op) int {
 	if int(op) >= numOps {
 		return numOps - 1

@@ -383,10 +383,6 @@ func (e *Engine) dropEvent(ev *Event) {
 	}
 }
 
-// Sleep returns a channel-free helper used in tests: it schedules fn after d
-// and returns the event; semantic sugar for Schedule.
-func (e *Engine) Sleep(d Duration, fn func()) *Event { return e.Schedule(d, fn) }
-
 // String summarizes engine state.
 func (e *Engine) String() string {
 	return fmt.Sprintf("sim.Engine{now=%v pending=%d fired=%d}", e.now, e.nLive, e.fired)
