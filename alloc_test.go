@@ -10,6 +10,7 @@ import (
 	"mittos/internal/disk"
 	"mittos/internal/kv"
 	"mittos/internal/netsim"
+	"mittos/internal/oscache"
 	"mittos/internal/sim"
 	"mittos/internal/stats"
 	"mittos/internal/ycsb"
@@ -367,4 +368,55 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("buffered write + ack + destage allocates %.1f objects per cycle; budget is 0", avg)
 		}
 	})
+	t.Run("CacheEvictRewarm", func(t *testing.T) {
+		// fig7's memory-contention noise, per page: swap a resident page
+		// out (its page-table entry turns shadow) and back in.
+		cfg := oscache.DefaultConfig()
+		cfg.CapacityPages = 4096
+		c := oscache.New(sim.NewEngine(), cfg, discardDevice{})
+		c.Warm(0, cfg.CapacityPages*cfg.PageSize)
+		i := 0
+		avg := testing.AllocsPerRun(200, func() {
+			off := int64(i*7919%cfg.CapacityPages) * int64(cfg.PageSize)
+			c.EvictRange(off, cfg.PageSize)
+			c.Warm(off, cfg.PageSize)
+			i++
+		})
+		if avg != 0 {
+			t.Fatalf("EvictRange + Warm allocates %.1f objects per page; budget is 0", avg)
+		}
+	})
+	t.Run("KVKeyOffset", func(t *testing.T) {
+		// The key → block lookup warmFleet and fig7's cache noise run per
+		// key, over a dense preloaded run and a sparse flushed one.
+		eng := sim.NewEngine()
+		var ids blockio.IDGen
+		cfg := kv.DefaultConfig(0, 100<<30)
+		cfg.MemtableCap = 64
+		st := kv.New(eng, cfg, &core.Vanilla{Dev: discardDevice{}}, &ids)
+		st.Preload(100000)
+		for k := int64(0); k < 64; k++ {
+			st.Put(200000+3*k, func(error) {})
+		}
+		if st.Runs() != 2 {
+			t.Fatalf("runs = %d, want the preloaded run and one flushed run", st.Runs())
+		}
+		k := int64(0)
+		avg := testing.AllocsPerRun(200, func() {
+			_, _ = st.KeyOffset(k * 7919 % 100000)
+			_, _ = st.KeyOffset(200000 + 3*(k%64))
+			k++
+		})
+		if avg != 0 {
+			t.Fatalf("KeyOffset allocates %.1f objects per lookup; budget is 0", avg)
+		}
+	})
 }
+
+// discardDevice accepts IOs and never completes them: a backing device for
+// pins whose measured path submits nothing, or whose completions are not
+// part of what is measured.
+type discardDevice struct{}
+
+func (discardDevice) Submit(*blockio.Request) {}
+func (discardDevice) InFlight() int           { return 0 }

@@ -75,27 +75,58 @@ func DefaultConfig(base, size int64) Config {
 	}
 }
 
-// run is one immutable sorted table: an in-memory index from key to block
-// slot within the run's device extent. stride is the slot spacing: flushed
-// runs pack blocks contiguously (stride == block size), while the preloaded
-// base run spreads them across the whole region the way a long-lived,
-// fragmented database does — giving random gets realistic seek distances.
+// run is one immutable sorted table: its keys in ascending order, each
+// key's block slot within the run's device extent being its rank. A run
+// whose keys form the contiguous range [lo, hi] (the preloaded base run, a
+// compaction of dense keys) stores only the range; any other keeps its
+// sorted keys and finds a rank by binary search. stride is the slot
+// spacing: flushed runs pack blocks contiguously (stride == block size),
+// while the preloaded base run spreads them across the whole region the way
+// a long-lived, fragmented database does — giving random gets realistic
+// seek distances.
 type run struct {
 	base   int64
 	stride int64
-	index  map[int64]int32
+	lo, hi int64   // smallest and largest key
+	n      int64   // number of keys
+	keys   []int64 // sorted, unique; nil when the keys are exactly [lo, hi]
+}
+
+// newRun builds a run over non-empty sorted, unique keys, dropping the key
+// slice when it is a contiguous range.
+func newRun(base, stride int64, keys []int64) *run {
+	r := &run{base: base, stride: stride, lo: keys[0], hi: keys[len(keys)-1], n: int64(len(keys))}
+	if r.hi-r.lo+1 != r.n {
+		r.keys = keys
+	}
+	return r
+}
+
+// key returns the run's i-th smallest key.
+func (r *run) key(i int64) int64 {
+	if r.keys == nil {
+		return r.lo + i
+	}
+	return r.keys[i]
 }
 
 func (r *run) offsetOf(key int64, blockSize int) (int64, bool) {
-	slot, ok := r.index[key]
-	if !ok {
+	if key < r.lo || key > r.hi {
 		return 0, false
+	}
+	slot := key - r.lo
+	if r.keys != nil {
+		i, ok := slices.BinarySearch(r.keys, key)
+		if !ok {
+			return 0, false
+		}
+		slot = int64(i)
 	}
 	stride := r.stride
 	if stride < int64(blockSize) {
 		stride = int64(blockSize)
 	}
-	return r.base + int64(slot)*stride, true
+	return r.base + slot*stride, true
 }
 
 // Store is the engine.
@@ -107,8 +138,9 @@ type Store struct {
 	ids    *blockio.IDGen
 
 	memtable map[int64]bool
-	runs     []*run // newest first
-	alloc    int64  // bump allocator within the region
+	runs     []*run  // newest first
+	mergePos []int64 // compaction's per-run merge cursors
+	alloc    int64   // bump allocator within the region
 	walPos   int64
 
 	// Per-IO pools: requests, fire-and-forget write completions, and
@@ -226,10 +258,7 @@ func (s *Store) Preload(n int64) {
 	if stride < int64(s.cfg.BlockSize) {
 		stride = int64(s.cfg.BlockSize)
 	}
-	r := &run{base: s.cfg.RegionBase, stride: stride, index: make(map[int64]int32, n)}
-	for k := int64(0); k < n; k++ {
-		r.index[k] = int32(k)
-	}
+	r := &run{base: s.cfg.RegionBase, stride: stride, lo: 0, hi: n - 1, n: n}
 	s.runs = append([]*run{r}, s.runs...)
 	if s.alloc < s.cfg.RegionBase+stride*n {
 		s.alloc = s.cfg.RegionBase + stride*n
@@ -645,11 +674,6 @@ func (s *Store) walOffsetN(n int) int64 {
 func (s *Store) flush() {
 	s.flushes++
 	n := int64(len(s.memtable))
-	r := &run{
-		base:   s.allocExtent(n * int64(s.cfg.BlockSize)),
-		stride: int64(s.cfg.BlockSize),
-		index:  make(map[int64]int32, n),
-	}
 	// Slot assignment decides each key's device offset, which decides the
 	// seek distance of every future read of that key — it must not depend
 	// on Go's randomized map order. Flush in sorted key order (real LSM
@@ -659,9 +683,7 @@ func (s *Store) flush() {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	for slot, k := range keys {
-		r.index[k] = int32(slot)
-	}
+	r := newRun(s.allocExtent(n*int64(s.cfg.BlockSize)), int64(s.cfg.BlockSize), keys)
 	// Reuse the memtable's buckets: it refills to the same size before the
 	// next flush, so a fresh map would only regrow to it again.
 	clear(s.memtable)
@@ -681,29 +703,62 @@ func (s *Store) flush() {
 	}
 }
 
+// mergeKeys calls emit once for every key of the union of the runs, in
+// ascending order: a k-way merge over the sorted runs (k <= MaxRuns+1, so
+// a linear scan for the smallest head beats a heap).
+func (s *Store) mergeKeys(emit func(int64)) {
+	pos := s.mergePos[:0]
+	for range s.runs {
+		pos = append(pos, 0)
+	}
+	for {
+		var next int64
+		found := false
+		for i, r := range s.runs {
+			if pos[i] < r.n {
+				if k := r.key(pos[i]); !found || k < next {
+					next, found = k, true
+				}
+			}
+		}
+		if !found {
+			break
+		}
+		emit(next)
+		for i, r := range s.runs {
+			if pos[i] < r.n && r.key(pos[i]) == next {
+				pos[i]++
+			}
+		}
+	}
+	s.mergePos = pos
+}
+
 // compact merges all runs into one, reading and rewriting sequentially at
 // idle priority — the background churn that makes LSM stores noisy
 // neighbors to themselves.
 func (s *Store) compact() {
 	s.compactions++
-	merged := make(map[int64]int32)
-	for i := len(s.runs) - 1; i >= 0; i-- { // oldest first; newer overwrite
-		for k := range s.runs[i].index { //mapiter:sorted
-			merged[k] = 0
-		}
-	}
-	total := int64(len(merged))
 	// As in flush: the merged run's slot layout feeds future seek
-	// distances, so assign slots in sorted key order, never map order.
-	keys := make([]int64, 0, total)
-	for k := range merged { //mapiter:sorted
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	r := &run{base: s.allocExtent(total * int64(s.cfg.BlockSize)),
-		stride: int64(s.cfg.BlockSize), index: merged}
-	for slot, k := range keys {
-		merged[k] = int32(slot)
+	// distances, so a key's slot is its rank in the sorted union.
+	// A union that is a contiguous range needs no key slice, so count it
+	// first and materialize the keys only when they are sparse.
+	var total, lo, hi int64
+	s.mergeKeys(func(k int64) {
+		if total == 0 {
+			lo = k
+		}
+		hi = k
+		total++
+	})
+	base, stride := s.allocExtent(total*int64(s.cfg.BlockSize)), int64(s.cfg.BlockSize)
+	var r *run
+	if hi-lo+1 == total {
+		r = &run{base: base, stride: stride, lo: lo, hi: hi, n: total}
+	} else {
+		keys := make([]int64, 0, total)
+		s.mergeKeys(func(k int64) { keys = append(keys, k) })
+		r = newRun(base, stride, keys)
 	}
 	old := s.runs
 	s.runs = []*run{r}
@@ -711,7 +766,7 @@ func (s *Store) compact() {
 	// writes of the merged run.
 	const chunk = 1 << 20
 	for _, o := range old {
-		bytes := int64(len(o.index)) * int64(s.cfg.BlockSize)
+		bytes := o.n * int64(s.cfg.BlockSize)
 		for off := int64(0); off < bytes; off += chunk {
 			size := chunk
 			if off+int64(size) > bytes {

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -432,5 +433,201 @@ func TestPutBackpressureRejectsBeforeSubmit(t *testing.T) {
 	eng.Run()
 	if errZero != nil {
 		t.Fatalf("no-SLO put under backpressure = %v, want nil", errZero)
+	}
+}
+
+// oracleRun is a run indexed the way runs were before they were sorted
+// tables: a map from key to block slot, the slot being the key's rank in
+// the run's sorted key set.
+type oracleRun struct {
+	base, stride int64
+	index        map[int64]int32
+}
+
+func rankIndex(set map[int64]bool) map[int64]int32 {
+	keys := make([]int64, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	index := make(map[int64]int32, len(keys))
+	for slot, k := range keys {
+		index[k] = int32(slot)
+	}
+	return index
+}
+
+// indexOracle mirrors a store's run structure with map-built indexes: it
+// replays Preload, and after every Put rebuilds whatever flush and
+// compaction the store just did from its own copy of the memtable.
+type indexOracle struct {
+	s        *Store
+	memtable map[int64]bool
+	runs     []oracleRun // newest first
+	flushes  uint64
+	compacts uint64
+}
+
+func (o *indexOracle) preload(n int64) {
+	o.s.Preload(n)
+	set := make(map[int64]bool, n)
+	for k := int64(0); k < n; k++ {
+		set[k] = true
+	}
+	o.runs = append([]oracleRun{{index: rankIndex(set)}}, o.runs...)
+}
+
+func (o *indexOracle) put(key int64) {
+	o.s.Put(key, func(error) {})
+	o.memtable[key] = true
+	_, _, flushes, compactions := o.s.Stats()
+	if flushes > o.flushes {
+		o.flushes = flushes
+		o.runs = append([]oracleRun{{index: rankIndex(o.memtable)}}, o.runs...)
+		o.memtable = map[int64]bool{}
+	}
+	if compactions > o.compacts {
+		o.compacts = compactions
+		union := map[int64]bool{}
+		for _, r := range o.runs {
+			for k := range r.index {
+				union[k] = true
+			}
+		}
+		o.runs = []oracleRun{{index: rankIndex(union)}}
+	}
+}
+
+// check compares KeyOffset for every key in [-1, hi+extra] with the
+// oracle's answer. Run placement (base, stride) is not what is under test,
+// so the oracle takes it from the store's runs.
+func (o *indexOracle) check(t *testing.T, hi, extra int64) {
+	t.Helper()
+	if len(o.runs) != len(o.s.runs) {
+		t.Fatalf("store has %d runs, oracle %d", len(o.s.runs), len(o.runs))
+	}
+	bs := int64(o.s.cfg.BlockSize)
+	for i := range o.runs {
+		o.runs[i].base, o.runs[i].stride = o.s.runs[i].base, max(o.s.runs[i].stride, bs)
+	}
+	for k := int64(-1); k <= hi+extra; k++ {
+		var want int64
+		found := false
+		for _, r := range o.runs {
+			if slot, ok := r.index[k]; ok {
+				want, found = r.base+int64(slot)*r.stride, true
+				break
+			}
+		}
+		got, ok := o.s.KeyOffset(k)
+		if ok != found || got != want {
+			t.Fatalf("KeyOffset(%d) = (%d, %v); map oracle (%d, %v)", k, got, ok, want, found)
+		}
+	}
+}
+
+// TestRunIndexMatchesMapOracle pins every key's device offset — and so
+// every seek distance — to the map-built index: slot = rank in the run's
+// sorted key set, for dense, sparse and compacted runs, probing keys below,
+// inside, between and above the runs.
+func TestRunIndexMatchesMapOracle(t *testing.T) {
+	newOracle := func(t *testing.T, memCap, maxRuns int) *indexOracle {
+		r := newKVRig(t)
+		cfg := DefaultConfig(0, 100<<30)
+		cfg.MemtableCap, cfg.MaxRuns = memCap, maxRuns
+		var ids blockio.IDGen
+		r.store = New(r.eng, cfg, r.mitt, &ids)
+		return &indexOracle{s: r.store, memtable: map[int64]bool{}}
+	}
+	dense := func(t *testing.T, s *Store, want bool) {
+		t.Helper()
+		if got := s.runs[0].keys == nil; got != want {
+			t.Fatalf("newest run dense = %v, want %v (keys %d..%d, n %d)",
+				got, want, s.runs[0].lo, s.runs[0].hi, s.runs[0].n)
+		}
+	}
+
+	t.Run("DensePreload", func(t *testing.T) {
+		o := newOracle(t, 64, 6)
+		o.preload(1000)
+		dense(t, o.s, true)
+		o.check(t, 1000, 50)
+	})
+	t.Run("SparseFlushes", func(t *testing.T) {
+		o := newOracle(t, 16, 100)
+		for i := int64(0); i < 200; i++ {
+			o.put(7 + 3*((i*37)%150)) // overlapping runs of keys ≡ 1 mod 3
+			o.check(t, 7+3*150, 10)
+		}
+		if o.s.Runs() < 10 {
+			t.Fatalf("runs = %d, want at least 10 sparse runs", o.s.Runs())
+		}
+		dense(t, o.s, false)
+	})
+	t.Run("DenseWithSparseCompaction", func(t *testing.T) {
+		o := newOracle(t, 16, 3)
+		o.preload(300)
+		for i := int64(0); i < 200; i++ {
+			k := (i * 53) % 300
+			if i%3 == 0 {
+				k = 320 + 5*i // above the dense run, with gaps
+			}
+			o.put(k)
+			o.check(t, 320+5*200, 10)
+		}
+		if o.compacts == 0 {
+			t.Fatal("no compaction happened")
+		}
+		if len(o.s.runs) == 1 {
+			dense(t, o.s, false)
+		}
+	})
+	t.Run("ContiguousUnionComesBackDense", func(t *testing.T) {
+		o := newOracle(t, 16, 3)
+		o.preload(200)
+		// Two flushes extend the range, a third overwrites keys inside it
+		// and pushes the run count past MaxRuns.
+		for k := int64(200); k < 232; k++ {
+			o.put(k)
+		}
+		for i := int64(0); i < 16; i++ {
+			o.put(i * 7)
+		}
+		if o.compacts == 0 || len(o.s.runs) != 1 {
+			t.Fatalf("compactions = %d, runs = %d; want one compacted run", o.compacts, len(o.s.runs))
+		}
+		dense(t, o.s, true)
+		if r := o.s.runs[0]; r.lo != 0 || r.n != 232 {
+			t.Fatalf("compacted run covers [%d, %d] with %d keys; want [0, 231]", r.lo, r.hi, r.n)
+		}
+		o.check(t, 232, 10)
+	})
+	t.Run("SparseRunsUnionDenseAboveZero", func(t *testing.T) {
+		o := newOracle(t, 16, 3)
+		for i := int64(0); i < 64; i++ {
+			o.put(50 + (i*27)%64) // every key of [50, 114), in a scrambled order
+			o.check(t, 114, 10)
+		}
+		if o.compacts == 0 || len(o.s.runs) != 1 {
+			t.Fatalf("compactions = %d, runs = %d; want one compacted run", o.compacts, len(o.s.runs))
+		}
+		dense(t, o.s, true)
+	})
+}
+
+// TestPreloadIsConstantTime checks that preloading builds no per-key index:
+// a 100000-key preload allocates a constant handful of objects, the same
+// as a 100-key one.
+func TestPreloadIsConstantTime(t *testing.T) {
+	r := newKVRig(t)
+	preload := func(n int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			r.store.runs = r.store.runs[:0]
+			r.store.Preload(n)
+		})
+	}
+	small, large := preload(100), preload(100000)
+	if large > 3 || large != small {
+		t.Fatalf("Preload(100000) allocates %.1f objects, Preload(100) %.1f; want the same constant ≤ 3", large, small)
 	}
 }

@@ -62,17 +62,16 @@ type Cache struct {
 	cfg     Config
 	backing blockio.Device
 
-	pages map[int64]*page
+	// table maps page ids to resident pages. An evicted page keeps a
+	// shadow entry, which distinguishes first-time accesses (cold misses)
+	// from re-evicted pages: MittCache only signals EBUSY for the latter
+	// ("should return EBUSY to signal memory space contention ... but not
+	// for first-time accesses", §4.4).
+	table pageTable
 	// Intrusive LRU: head = most recently used, tail = eviction victim.
 	lruHead, lruTail *page
 	resident         int
-	slab             *PageSlab // page freelist, possibly shared across legs
-
-	// everResident distinguishes first-time accesses (cold misses) from
-	// re-evicted pages: MittCache only signals EBUSY for the latter
-	// ("should return EBUSY to signal memory space contention ... but not
-	// for first-time accesses", §4.4).
-	everResident map[int64]bool
+	slab             *PageSlab // page and page-table freelist, possibly shared across legs
 
 	ids      blockio.IDGen
 	inflight int
@@ -108,22 +107,22 @@ func New(eng *sim.Engine, cfg Config, backing blockio.Device) *Cache {
 	if reqs == nil {
 		reqs = &blockio.Pool{}
 	}
-	return &Cache{
-		eng:          eng,
-		cfg:          cfg,
-		backing:      backing,
-		slab:         slab,
-		reqs:         reqs,
-		pages:        make(map[int64]*page),
-		everResident: make(map[int64]bool),
-		degrade:      1.0,
+	c := &Cache{
+		eng:     eng,
+		cfg:     cfg,
+		backing: backing,
+		slab:    slab,
+		reqs:    reqs,
+		degrade: 1.0,
 	}
+	c.table.reset(slab.table(tableSlots(cfg.CapacityPages)))
+	return c
 }
 
-// Reclaim hands every resident page back to the (shared) slab and empties
-// the LRU. Call only at experiment-leg teardown: the cache is unusable
-// afterwards, it exists so an arena can recycle the page structs of a
-// finished leg's resident set into the next leg's cache.
+// Reclaim hands every resident page and the cleared page table back to the
+// (shared) slab and empties the LRU. Call only at experiment-leg teardown:
+// the cache is unusable afterwards, it exists so an arena can recycle the
+// page structs and page table of a finished leg into the next leg's cache.
 func (c *Cache) Reclaim() {
 	for pg := c.lruHead; pg != nil; {
 		next := pg.next
@@ -131,7 +130,8 @@ func (c *Cache) Reclaim() {
 		pg = next
 	}
 	c.lruHead, c.lruTail, c.resident = nil, nil, 0
-	c.pages = nil
+	c.slab.parkTable(c.table.slots)
+	c.table = pageTable{}
 }
 
 // SetDegradation scales the hit-serving latency by factor (>1 slower);
@@ -179,7 +179,7 @@ func (c *Cache) span(off int64, size int) (first, last int64) {
 func (c *Cache) Resident(off int64, size int) bool {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if _, ok := c.pages[p]; !ok {
+		if e := c.table.find(p); e == nil || e.pg == nil {
 			return false
 		}
 	}
@@ -192,7 +192,7 @@ func (c *Cache) Resident(off int64, size int) bool {
 func (c *Cache) WasEverResident(off int64, size int) bool {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if !c.everResident[p] {
+		if c.table.find(p) == nil {
 			return false
 		}
 	}
@@ -364,12 +364,44 @@ func (c *Cache) complete(req *blockio.Request) {
 // forever, so slabs only grow the footprint to the peak resident set.
 const pageSlabSize = 1024
 
-// PageSlab is a page freelist with slab-batched growth. The zero value is
-// ready to use; a shared slab (Config.Slab) lets consecutive experiment legs
-// reuse one peak-resident-set worth of page structs instead of growing a
-// fresh freelist per cache.
+// PageSlab is a page freelist with slab-batched growth, plus the page-table
+// slot arrays of reclaimed caches. The zero value is ready to use; a shared
+// slab (Config.Slab) lets consecutive experiment legs reuse one
+// peak-resident-set worth of page structs and page tables instead of
+// growing fresh ones per cache.
 type PageSlab struct {
-	free *page
+	free   *page
+	tables [][]pageSlot // cleared slot arrays parked by Cache.Reclaim
+}
+
+// table returns a cleared slot array of at least n slots, reusing a parked
+// one when one is large enough.
+func (s *PageSlab) table(n int) []pageSlot {
+	last := len(s.tables) - 1
+	for i := last; i >= 0; i-- {
+		if t := s.tables[i]; len(t) >= n {
+			s.tables[i] = s.tables[last]
+			s.tables[last] = nil
+			s.tables = s.tables[:last]
+			return t
+		}
+	}
+	if last >= 0 {
+		// None fits: drop a too-small one, so parked arrays never
+		// outnumber the caches that parked them.
+		s.tables[last] = nil
+		s.tables = s.tables[:last]
+	}
+	return make([]pageSlot, n)
+}
+
+// parkTable clears a retired cache's slot array and keeps it for reuse.
+func (s *PageSlab) parkTable(slots []pageSlot) {
+	if slots == nil {
+		return
+	}
+	clear(slots)
+	s.tables = append(s.tables, slots)
 }
 
 func (s *PageSlab) get() *page {
@@ -391,7 +423,7 @@ func (s *PageSlab) put(pg *page) {
 	s.free = pg
 }
 
-func (c *Cache) getPage() *page  { return c.slab.get() }
+func (c *Cache) getPage() *page    { return c.slab.get() }
 func (c *Cache) freePage(pg *page) { c.slab.put(pg) }
 
 func (c *Cache) pushFront(pg *page) {
@@ -433,26 +465,28 @@ func (c *Cache) moveToFront(pg *page) {
 // insert makes a page resident (touching it if already resident), evicting
 // the LRU page when at capacity.
 func (c *Cache) insert(id int64, dirty bool) {
-	if pg, ok := c.pages[id]; ok {
+	e := c.table.claim(id)
+	if pg := e.pg; pg != nil {
 		pg.dirty = pg.dirty || dirty
 		c.moveToFront(pg)
 		return
 	}
+	// Evicting only turns other entries into shadows; no claim runs in
+	// between, so e stays valid.
 	for c.resident >= c.cfg.CapacityPages {
 		c.evictLRU()
 	}
 	pg := c.getPage()
 	pg.id, pg.dirty = id, dirty
 	c.pushFront(pg)
-	c.pages[id] = pg
-	c.everResident[id] = true
+	e.pg = pg
 }
 
 func (c *Cache) touchRange(off int64, size int) {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if pg, ok := c.pages[p]; ok {
-			c.moveToFront(pg)
+		if e := c.table.find(p); e != nil && e.pg != nil {
+			c.moveToFront(e.pg)
 		}
 	}
 }
@@ -461,12 +495,16 @@ func (c *Cache) evictLRU() {
 	if c.lruTail == nil {
 		return
 	}
-	c.evict(c.lruTail)
+	c.evictPage(c.lruTail)
 }
 
-func (c *Cache) evict(pg *page) {
+func (c *Cache) evictPage(pg *page) { c.evict(c.table.find(pg.id)) }
+
+// evict drops the resident page of entry e, leaving e as a shadow entry.
+func (c *Cache) evict(e *pageSlot) {
+	pg := e.pg
+	e.pg = nil
 	c.unlink(pg)
-	delete(c.pages, pg.id)
 	c.evictions++
 	c.rec.Incr(metrics.RCache, metrics.CEviction)
 	if pg.dirty {
@@ -489,8 +527,8 @@ func (c *Cache) evict(pg *page) {
 func (c *Cache) EvictRange(off int64, size int) {
 	first, last := c.span(off, size)
 	for p := first; p <= last; p++ {
-		if pg, ok := c.pages[p]; ok {
-			c.evict(pg)
+		if e := c.table.find(p); e != nil && e.pg != nil {
+			c.evict(e)
 		}
 	}
 }
@@ -509,7 +547,7 @@ func (c *Cache) EvictFraction(frac float64, rng *sim.RNG) {
 		}
 	}
 	for i, pg := range c.victims {
-		c.evict(pg)
+		c.evictPage(pg)
 		c.victims[i] = nil
 	}
 	c.victims = c.victims[:0]

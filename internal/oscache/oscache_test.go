@@ -1,6 +1,7 @@
 package oscache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -307,5 +308,291 @@ func TestPropertyResidentImpliesWasEverResident(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cacheModel is the reference the page table is checked against: the two
+// maps the cache kept before it had one (residency, with each page's dirty
+// bit, and the ever-resident set), plus the LRU order as a slice, most
+// recently used first. Read-through and prefetch fills are queued and
+// applied when the engine runs, in submission order, as the device
+// completes them.
+type cacheModel struct {
+	capacity     int
+	pages        map[int64]bool // resident page → dirty
+	everResident map[int64]bool
+	lru          []int64
+	fills        [][2]int64 // pending [first, last] page fills
+
+	hits, misses, evictions, writebacks uint64
+}
+
+func (m *cacheModel) moveToFront(id int64) {
+	i := slices.Index(m.lru, id)
+	copy(m.lru[1:i+1], m.lru[:i])
+	m.lru[0] = id
+}
+
+func (m *cacheModel) insert(id int64, dirty bool) {
+	if d, ok := m.pages[id]; ok {
+		m.pages[id] = d || dirty
+		m.moveToFront(id)
+		return
+	}
+	for len(m.lru) >= m.capacity {
+		m.evict(m.lru[len(m.lru)-1])
+	}
+	m.lru = slices.Insert(m.lru, 0, id)
+	m.pages[id] = dirty
+	m.everResident[id] = true
+}
+
+func (m *cacheModel) evict(id int64) {
+	i := slices.Index(m.lru, id)
+	m.lru = slices.Delete(m.lru, i, i+1)
+	if m.pages[id] {
+		m.writebacks++
+	}
+	delete(m.pages, id)
+	m.evictions++
+}
+
+func (m *cacheModel) resident(first, last int64) bool {
+	for p := first; p <= last; p++ {
+		if _, ok := m.pages[p]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *cacheModel) shrinkTo(capacity int) {
+	m.capacity = max(capacity, 1)
+	for len(m.lru) > m.capacity {
+		m.evict(m.lru[len(m.lru)-1])
+	}
+}
+
+// fuzzPageSpace bounds the page ids the fuzzer touches: large against the
+// 4–35 page capacities, so shadow entries pile up well past the table's
+// pre-size.
+const fuzzPageSpace = 1024
+
+// runPageCacheProgram decodes data into a cache capacity and a sequence of
+// cache operations, runs them against both the cache and cacheModel, and
+// checks every observable after each one. It returns how many times the
+// page table doubled.
+func runPageCacheProgram(t *testing.T, data []byte) (growths int) {
+	t.Helper()
+	if len(data) == 0 {
+		return 0
+	}
+	capacity := 4 + int(data[0]%32)
+	eng, c, dev := newTestCache(capacity)
+	ps := int64(c.Config().PageSize)
+	initialSlots := len(c.table.slots)
+	m := &cacheModel{capacity: capacity, pages: map[int64]bool{}, everResident: map[int64]bool{}}
+	rng, modelRNG := sim.NewRNG(7, "fuzz-evict"), sim.NewRNG(7, "fuzz-evict")
+	noop := func(*blockio.Request) {}
+
+	run := func() {
+		eng.Run()
+		for _, f := range m.fills {
+			for p := f[0]; p <= f[1]; p++ {
+				m.insert(p, false)
+			}
+		}
+		m.fills = m.fills[:0]
+	}
+	check := func(step int) {
+		t.Helper()
+		if got := c.ResidentPages(); got != len(m.lru) {
+			t.Fatalf("step %d: ResidentPages %d, model %d", step, got, len(m.lru))
+		}
+		if h, mi, ev := c.Stats(); h != m.hits || mi != m.misses || ev != m.evictions {
+			t.Fatalf("step %d: Stats (%d, %d, %d), model (%d, %d, %d)",
+				step, h, mi, ev, m.hits, m.misses, m.evictions)
+		}
+		i := 0
+		for pg := c.lruHead; pg != nil; pg = pg.next {
+			if i >= len(m.lru) || pg.id != m.lru[i] || pg.dirty != m.pages[pg.id] {
+				t.Fatalf("step %d: LRU position %d holds page %d (dirty %v), model %v",
+					step, i, pg.id, pg.dirty, m.lru)
+			}
+			i++
+		}
+		for p := int64(0); p < fuzzPageSpace; p++ {
+			_, res := m.pages[p]
+			if got := c.Resident(p*ps, int(ps)); got != res {
+				t.Fatalf("step %d: Resident(page %d) = %v, model %v", step, p, got, res)
+			}
+			if got := c.WasEverResident(p*ps, int(ps)); got != m.everResident[p] {
+				t.Fatalf("step %d: WasEverResident(page %d) = %v, model %v",
+					step, p, got, m.everResident[p])
+			}
+		}
+		if c.table.n != len(m.everResident) || 2*c.table.n > len(c.table.slots) {
+			t.Fatalf("step %d: page table holds %d entries in %d slots; model has %d pages ever resident",
+				step, c.table.n, len(c.table.slots), len(m.everResident))
+		}
+	}
+
+	prog := data[1:]
+	if len(prog) > 4*256 {
+		prog = prog[:4*256]
+	}
+	for step := 0; step+4 <= len(prog); step += 4 {
+		op, a, b, n := prog[step], prog[step+1], prog[step+2], prog[step+3]
+		page := (int64(a)<<8 | int64(b)) % fuzzPageSpace
+		npages := 1 + int64(n%4)
+		// Reads and writes may start mid-page and end short of a page
+		// boundary; the span they cover is still [first, last].
+		off, size := page*ps+int64(n>>6)*100, int(npages*ps)-int(n>>6)*100
+		first, last := page, page+npages-1
+		switch op % 9 {
+		case 0: // read Submit: a hit touches, a miss reads through
+			if m.resident(first, last) {
+				m.hits++
+				for p := first; p <= last; p++ {
+					m.moveToFront(p)
+				}
+			} else {
+				m.misses++
+				m.fills = append(m.fills, [2]int64{first, last})
+			}
+			c.Submit(&blockio.Request{Op: blockio.Read, Offset: off, Size: size, OnComplete: noop})
+		case 1: // write Submit: absorbed dirty
+			for p := first; p <= last; p++ {
+				m.insert(p, true)
+			}
+			c.Submit(&blockio.Request{Op: blockio.Write, Offset: off, Size: size, OnComplete: noop})
+		case 2: // Warm a run of up to 64 pages
+			span := 1 + int64(n%64)
+			for p := page; p < page+span; p++ {
+				m.insert(p, false)
+			}
+			c.Warm(page*ps, int(span*ps))
+		case 3:
+			for p := first; p <= last; p++ {
+				if _, ok := m.pages[p]; ok {
+					m.evict(p)
+				}
+			}
+			c.EvictRange(off, size)
+		case 4:
+			frac := float64(a%50+1) / 100
+			var victims []int64
+			for _, id := range m.lru {
+				if modelRNG.Bool(frac) {
+					victims = append(victims, id)
+				}
+			}
+			for _, id := range victims {
+				m.evict(id)
+			}
+			c.EvictFraction(frac, rng)
+		case 5: // balloon inflates
+			m.shrinkTo(m.capacity - int(n%16))
+			c.Balloon(int(n % 16))
+		case 6: // balloon deflates
+			m.capacity += int(n % 16)
+			c.Balloon(-int(n % 16))
+		case 7:
+			if !m.resident(first, last) {
+				m.fills = append(m.fills, [2]int64{first, last})
+			}
+			c.Prefetch(off, size, blockio.ClassBestEffort, 4, 1)
+		case 8:
+			run()
+		}
+		check(step / 4)
+	}
+	run()
+	check(len(prog) / 4)
+	var writes uint64
+	for _, r := range dev.seen {
+		if r.Op == blockio.Write {
+			writes++
+		}
+	}
+	if writes != m.writebacks {
+		t.Fatalf("%d write-backs reached the device, model evicted %d dirty pages", writes, m.writebacks)
+	}
+	for s := initialSlots; s < len(c.table.slots); s *= 2 {
+		growths++
+	}
+	return growths
+}
+
+// pageCacheSeed is a deterministic program that mixes every operation and
+// sweeps enough distinct pages to double the page table at least twice.
+func pageCacheSeed(capacity byte, ops int, salt string) []byte {
+	rng := sim.NewRNG(1, salt)
+	data := []byte{capacity}
+	for i := 0; i < ops; i++ {
+		data = append(data, byte(rng.Intn(9)), byte(rng.Intn(4)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return data
+}
+
+// FuzzPageCache drives the cache with random sequences of read and write
+// Submits, Warm, EvictRange, EvictFraction, Balloon in both directions and
+// Prefetch, and checks it after every operation against cacheModel:
+// residency, ever-residency (the shadow entries), the resident count, the
+// hit/miss/eviction counters, the LRU order with each page's dirty bit, and
+// the page table's entry count and load factor.
+func FuzzPageCache(f *testing.F) {
+	f.Add(pageCacheSeed(8, 200, "a"))
+	f.Add(pageCacheSeed(31, 200, "b"))
+	f.Add([]byte{0, 2, 0, 0, 63, 3, 0, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{4, 1, 0, 1, 3, 5, 0, 0, 8, 2, 0, 9, 63, 4, 20, 0, 0, 0, 0, 1, 0, 8, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runPageCacheProgram(t, data)
+	})
+}
+
+// TestPageCacheSeedGrowsTable pins that the fuzz seeds really exercise
+// page-table growth past its pre-size, with shadows rehashed along.
+func TestPageCacheSeedGrowsTable(t *testing.T) {
+	for _, salt := range []string{"a", "b"} {
+		if g := runPageCacheProgram(t, pageCacheSeed(8, 200, salt)); g < 2 {
+			t.Fatalf("seed %q grew the page table %d times; want at least 2", salt, g)
+		}
+	}
+}
+
+// TestReclaimRecyclesPageTable checks that a cache reclaimed onto a shared
+// PageSlab hands its page table to the next cache built on that slab, and
+// that the next cache starts with no entries, shadows included.
+func TestReclaimRecyclesPageTable(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &fakeDevice{eng: eng, delay: time.Millisecond}
+	var slab PageSlab
+	cfg := DefaultConfig()
+	cfg.CapacityPages = 64
+	cfg.Slab = &slab
+	ps := int64(cfg.PageSize)
+
+	c := New(eng, cfg, dev)
+	c.Warm(0, int(1000*ps)) // grows the table well past its pre-size
+	c.EvictRange(0, int(10*ps))
+	slots := c.table.slots
+	c.Reclaim()
+
+	next := New(eng, cfg, dev)
+	if &next.table.slots[0] != &slots[0] || len(next.table.slots) != len(slots) {
+		t.Fatal("the next cache on the slab did not reuse the reclaimed page table")
+	}
+	if next.table.n != 0 || next.WasEverResident(0, int(ps)) || next.WasEverResident(999*ps, int(ps)) {
+		t.Fatal("the recycled page table kept entries from the reclaimed cache")
+	}
+	for i, s := range next.table.slots {
+		if s != (pageSlot{}) {
+			t.Fatalf("recycled slot %d not cleared: %+v", i, s)
+		}
+	}
+	next.Warm(0, int(ps))
+	if !next.Resident(0, int(ps)) || next.ResidentPages() != 1 {
+		t.Fatal("the recycled page table does not serve the next cache")
 	}
 }
