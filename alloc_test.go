@@ -320,6 +320,41 @@ func TestAllocBudgets(t *testing.T) {
 			return &cluster.BaseStrategy{C: c}
 		})
 	})
+	t.Run("AppTOGet", func(t *testing.T) {
+		// A timeout shorter than a served read, so every get revokes two
+		// tries and retries: some revoked IOs are dropped from the queue,
+		// the rest run and their late replies are tallied as waste.
+		getPin(t, "AppTO", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.TimeoutStrategy{C: c, TO: 300 * time.Microsecond}
+		})
+	})
+	t.Run("CloneGet", func(t *testing.T) {
+		getPin(t, "Clone", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.CloneStrategy{C: c, RNG: sim.NewRNG(9, "alloc-clone")}
+		})
+	})
+	t.Run("TiedGet", func(t *testing.T) {
+		// Both copies of the tie go out, and the winner's cancel hop
+		// revokes the loser.
+		getPin(t, "Tied", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.TiedStrategy{C: c, RNG: sim.NewRNG(9, "alloc-tied"), Delay: time.Microsecond}
+		})
+	})
+	t.Run("SnitchGet", func(t *testing.T) {
+		getPin(t, "Snitch", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.SnitchStrategy{C: c}
+		})
+	})
+	t.Run("C3Get", func(t *testing.T) {
+		getPin(t, "C3", false, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.C3Strategy{C: c}
+		})
+	})
+	t.Run("ConsistentGet", func(t *testing.T) {
+		getPin(t, "MittOS-consistent", true, func(c *cluster.Cluster) cluster.Strategy {
+			return &cluster.ConsistentMittOSStrategy{C: c, Deadline: 20 * time.Millisecond}
+		})
+	})
 	t.Run("HedgedGet", func(t *testing.T) {
 		// A short hedge delay so some gets send the second copy and the
 		// loser's late reply is tallied too.

@@ -26,10 +26,9 @@ type ConsistentMittOSStrategy struct {
 	// session holds the highest version read per key.
 	session map[int64]uint64
 
-	Failovers     uint64
-	StaleSkips    uint64 // replicas skipped for staleness
-	ForcedToWait  uint64 // requests that had to wait on the busy replica
-	monotonicFail uint64 // would-be violations avoided (diagnostics)
+	Failovers    uint64
+	StaleSkips   uint64 // replicas skipped for staleness
+	ForcedToWait uint64 // requests that had to wait on the busy replica
 }
 
 // Name implements Strategy.
@@ -40,53 +39,45 @@ func (s *ConsistentMittOSStrategy) Get(key int64, onDone func(GetResult)) {
 	if s.session == nil {
 		s.session = make(map[int64]uint64)
 	}
-	start := s.C.Eng.Now()
-	replicas := s.C.ReplicasFor(key)
-	minVersion := s.session[key]
+	op := s.C.newGet(s, key, onDone, nil)
+	op.minVersion = s.session[key]
+	s.attempt(op, 0)
+}
 
-	finish := func(tries int, err error) {
-		// Advance the session to what we just (implicitly) read.
-		onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: tries, Err: err})
+// attempt sends a try to replica i; the last replica's try disables the
+// deadline. op.idx == len(op.replicas) marks the forced wait.
+func (s *ConsistentMittOSStrategy) attempt(op *getOp, i int) {
+	op.idx = i
+	deadline := s.Deadline
+	if i == len(op.replicas)-1 {
+		deadline = 0
 	}
+	op.send(op.replicas[i], deadline)
+}
 
-	var attempt func(i, tries int)
-	attempt = func(i, tries int) {
-		deadline := s.Deadline
-		if i == len(replicas)-1 {
-			deadline = 0
-		}
-		node := s.C.Nodes[replicas[i]]
-		s.C.ReplicaCall(replicas[i], key, deadline, func(err error) {
-			if err != nil && core.IsBusy(err) {
-				s.Failovers++
-				// Find the next replica that is fresh enough.
-				for j := i + 1; j < len(replicas); j++ {
-					cand := s.C.Nodes[replicas[j]]
-					if cand.KeyVersion(key) >= minVersion {
-						attempt(j, tries+1)
-						return
-					}
-					s.StaleSkips++
-				}
-				// No fresh alternative: wait out the busy replica rather
-				// than serve a stale read (§8.3's conservative choice).
-				s.ForcedToWait++
-				s.monotonicFail++
-				s.C.ReplicaCall(replicas[i], key, 0, func(err2 error) {
-					s.recordVersion(key, node)
-					finish(tries+1, err2)
-				})
+func (s *ConsistentMittOSStrategy) onReply(op *getOp, cp *getCopy, err error) {
+	if op.idx < len(op.replicas) && core.IsBusy(err) {
+		s.Failovers++
+		// Find the next replica that is fresh enough.
+		for j := op.idx + 1; j < len(op.replicas); j++ {
+			if s.C.Nodes[op.replicas[j]].KeyVersion(op.key) >= op.minVersion {
+				s.attempt(op, j)
 				return
 			}
-			s.recordVersion(key, node)
-			finish(tries, err)
-		})
+			s.StaleSkips++
+		}
+		// No fresh alternative: wait out the busy replica rather than
+		// serve a stale read (§8.3's conservative choice).
+		s.ForcedToWait++
+		op.idx = len(op.replicas)
+		op.send(cp.node, 0)
+		return
 	}
-	attempt(0, 1)
+	// Advance the session to what we just (implicitly) read.
+	if v := s.C.Nodes[cp.node].KeyVersion(op.key); v > s.session[op.key] {
+		s.session[op.key] = v
+	}
+	op.win(op.sent, err)
 }
 
-func (s *ConsistentMittOSStrategy) recordVersion(key int64, n *Node) {
-	if v := n.KeyVersion(key); v > s.session[key] {
-		s.session[key] = v
-	}
-}
+func (s *ConsistentMittOSStrategy) onTimer(*getOp) {}

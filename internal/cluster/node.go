@@ -108,12 +108,10 @@ type Pools struct {
 	// strategy structs because experiments build a fresh strategy per leg:
 	// pooling per strategy would start every leg cold AND lose any op a
 	// wedged IO stranded past the leg's drain window.
-	getOps      freelist[getOp]
-	timeoutOps  freelist[timeoutOp]
-	timeoutAtts freelist[timeoutAttempt]
-	mittOps     freelist[mittOp]
-	putOps      freelist[putOp]
-	putCopies   freelist[putCopy]
+	getOps    freelist[getOp]
+	getCopies freelist[getCopy]
+	putOps    freelist[putOp]
+	putCopies freelist[putCopy]
 	// Reqs is the shared block-IO request pool; nodes point their KV
 	// stores and page caches at it. (Requests recycle into the pool that
 	// created them, so the bundle must outlive every fleet using it.)

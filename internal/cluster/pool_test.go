@@ -142,9 +142,7 @@ func TestClientOpsReturnToPools(t *testing.T) {
 		checkDrained(t, leg, "handles", &pools.handles)
 		checkDrained(t, leg, "calls", &pools.calls)
 		checkDrained(t, leg, "getOps", &pools.getOps)
-		checkDrained(t, leg, "timeoutOps", &pools.timeoutOps)
-		checkDrained(t, leg, "timeoutAtts", &pools.timeoutAtts)
-		checkDrained(t, leg, "mittOps", &pools.mittOps)
+		checkDrained(t, leg, "getCopies", &pools.getCopies)
 		checkDrained(t, leg, "putOps", &pools.putOps)
 		checkDrained(t, leg, "putCopies", &pools.putCopies)
 	}
@@ -156,8 +154,8 @@ func TestClientOpsReturnToPools(t *testing.T) {
 			lists++
 		}
 	}
-	if lists != 9 {
-		t.Fatalf("Pools has %d freelists; check covers 9", lists)
+	if lists != 7 {
+		t.Fatalf("Pools has %d freelists; check covers 7", lists)
 	}
 
 	const ops = 200
@@ -213,8 +211,14 @@ func TestClientOpsReturnToPools(t *testing.T) {
 		{"AppTO", func(c *Cluster) Strategy { return &TimeoutStrategy{C: c, TO: 5 * time.Millisecond} }},
 		{"Clone", func(c *Cluster) Strategy { return &CloneStrategy{C: c, RNG: sim.NewRNG(9, "clone")} }},
 		{"Hedged", func(c *Cluster) Strategy { return &HedgedStrategy{C: c, HedgeAfter: 5 * time.Millisecond} }},
+		{"Tied", func(c *Cluster) Strategy { return &TiedStrategy{C: c, RNG: sim.NewRNG(9, "tied")} }},
+		{"Snitch", func(c *Cluster) Strategy { return &SnitchStrategy{C: c} }},
+		{"C3", func(c *Cluster) Strategy { return &C3Strategy{C: c} }},
 		{"MittOS", func(c *Cluster) Strategy {
 			return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond, UseWaitHint: true}
+		}},
+		{"MittOS-consistent", func(c *Cluster) Strategy {
+			return &ConsistentMittOSStrategy{C: c, Deadline: 10 * time.Millisecond}
 		}},
 	}
 	for _, g := range gets {
@@ -250,8 +254,7 @@ func TestClientOpsReturnToPools(t *testing.T) {
 	for name, n := range map[string]int{
 		"serves": len(pools.serves.free), "handles": len(pools.handles.free),
 		"calls": len(pools.calls.free), "getOps": len(pools.getOps.free),
-		"timeoutOps": len(pools.timeoutOps.free), "timeoutAtts": len(pools.timeoutAtts.free),
-		"mittOps": len(pools.mittOps.free), "putOps": len(pools.putOps.free),
+		"getCopies": len(pools.getCopies.free), "putOps": len(pools.putOps.free),
 		"putCopies": len(pools.putCopies.free),
 	} {
 		if n == 0 {

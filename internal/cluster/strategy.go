@@ -51,54 +51,154 @@ func (r *getReq) begin(c *Cluster, key int64, onDone func(GetResult)) {
 	r.replicas = c.ReplicasInto(key, r.replicas)
 }
 
-// finish is the shared terminal: it builds the user-visible result and
-// takes the callback off the op, so the op can be recycled before the
-// callback runs.
-func (r *getReq) finish(tries int, err error) (func(GetResult), GetResult) {
-	onDone := r.onDone
-	r.onDone = nil
-	return onDone, GetResult{Latency: r.c.Eng.Now().Sub(r.start), Tries: tries, Err: err}
+// getPolicy is what a get strategy adds to the shared get kernel: what to
+// do with a reply that arrives before the get is won, and what to do when
+// its timer fires before then. Everything else — the call chain, the
+// exactly-once verdict, late-reply waste, pooling — is getOp's.
+type getPolicy interface {
+	Strategy
+	onReply(op *getOp, cp *getCopy, err error)
+	onTimer(op *getOp)
 }
 
-// getOp is the pooled per-get kernel under Base, Clone and Hedged: copies
-// go out to distinct replicas through one pre-bound reply callback, and the
-// first decisive reply wins. A node-down refusal is not decisive while a
-// sibling copy is still out; under Hedged it sends the hedge at once. A
-// copy that loses the race still holds a reference, and if its IO executed
-// it counts toward the strategy's WastedIOs. Tries is the number of copies
-// sent. Ops pool on the cluster's shared Pools bundle (not the strategy —
-// strategies are per-leg) and rebind their owner at acquire.
+// getOp is the pooled per-get kernel every get strategy runs on. Copies go
+// out through pooled getCopy chains (request hop, serve, reply hop); the
+// policy's onReply sees each reply that arrives before the verdict and
+// calls win at most once. A copy that replies after the verdict, or after
+// the policy superseded it, is late: if its IO executed it counts toward
+// the strategy's WastedIOs. refs counts the copies still out, armed timers
+// and an in-flight sibling-cancel hop, so the op outlives its stragglers.
+// Timers are engine-owned recycled events that cannot be cancelled; they
+// stay quiet once the get is won. Ops pool on the cluster's shared Pools
+// bundle (not the strategy — strategies are per-leg) and rebind their
+// owner at acquire.
 type getOp struct {
 	getReq
-	wastedIOs *uint64 // the strategy's WastedIOs; nil for Base, whose one copy never loses
-	hedges    *uint64 // HedgedStrategy.Hedges; nil for strategies that never hedge
+	pol       getPolicy
+	wasted    *uint64 // the strategy's WastedIOs; nil when no copy can lose
+	cancelled *uint64 // TiedStrategy.Cancelled; nil for every other strategy
 	won       bool
-	sent      int         // copies sent so far
-	pending   int         // copies still awaiting a reply
-	refs      int         // replies still due plus the hedge timer
-	replyFn   func(error) // pre-bound op.reply
-	timerFn   func()      // pre-bound op.timerFire
+	res       GetResult
+	sent      int // copies sent so far; a copy's seq is its 1-based send order
+	pending   int // copies still awaiting a reply (a revocable one from when it lands)
+	refs      int
+	fired     int // timer firings so far
+	floor     int // copies with seq <= floor are superseded (AppTO's revocation)
+
+	// Policy scratch.
+	idx        int             // MittOS-consistent: replica index of the copy out
+	alt        int             // Tied: the node the delay timer's copy goes to
+	winner     int             // Tied: handle slot of the winning copy
+	minVersion uint64          // MittOS-consistent: the session's version of the key
+	err        error           // MittOS: the refusal carried across RetryOverhead
+	waits      []time.Duration // MittOS: each replica's predicted wait
+	handles    [2]*ServeHandle // revocable copies' handles, by slot
+
+	timerFn  func() // pre-bound op.timerFire
+	revokeFn func() // pre-bound op.revokeHop
+}
+
+// getCopy is one copy's call chain: request hop, Node.serve, reply hop. A
+// plain copy is always served and always replies. A revocable copy (slot
+// >= 0) serves through a revocation handle held in the op's slot, is not
+// served at all if it was superseded before it landed, and resolves
+// silently — no reply hop — if its IO is revoked.
+type getCopy struct {
+	op       *getOp
+	node     int
+	deadline time.Duration
+	seq      int
+	slot     int // handle slot of a revocable copy; -1 for a plain one
+	queue    int // the serving node's queue depth, piggybacked on the reply
+	err      error
+
+	sendFn  func()      // pre-bound cp.send: request hop
+	serveFn func(error) // pre-bound cp.serve: serve completion
+	replyFn func()      // pre-bound cp.reply: reply hop
 }
 
 func (op *getOp) bind() {
-	op.replyFn = op.reply
 	op.timerFn = op.timerFire
+	op.revokeFn = op.revokeHop
 }
 
-func (c *Cluster) newGetOp(key int64, onDone func(GetResult), wastedIOs, hedges *uint64) *getOp {
+func (cp *getCopy) bind() {
+	cp.sendFn = cp.send
+	cp.serveFn = cp.serve
+	cp.replyFn = cp.reply
+}
+
+// newGet starts one get on the kernel; the strategy then sends its first
+// copies and arms its timer, if it has one.
+func (c *Cluster) newGet(pol getPolicy, key int64, onDone func(GetResult), wasted *uint64) *getOp {
 	op := acquire(&c.pools.getOps)
 	op.begin(c, key, onDone)
-	op.wastedIOs, op.hedges = wastedIOs, hedges
-	op.sent, op.pending = 0, 0
+	op.pol, op.wasted, op.cancelled = pol, wasted, nil
+	op.sent, op.pending, op.fired, op.floor = 0, 0, 0, 0
 	return op
 }
 
-// send issues one more copy of the get, to node.
-func (op *getOp) send(node int) {
-	op.sent++
+// send issues a plain copy, pending from the moment it is sent.
+func (op *getOp) send(node int, deadline time.Duration) {
 	op.pending++
+	op.launch(node, deadline, -1)
+}
+
+// sendRevocable issues a copy whose handle goes to the given slot; it
+// counts as pending only once its request lands.
+func (op *getOp) sendRevocable(node, slot int) { op.launch(node, 0, slot) }
+
+func (op *getOp) launch(node int, deadline time.Duration, slot int) {
+	op.sent++
 	op.refs++
-	op.c.ReplicaCall(node, op.key, 0, op.replyFn)
+	cp := acquire(&op.c.pools.getCopies)
+	cp.op, cp.node, cp.deadline, cp.seq, cp.slot = op, node, deadline, op.sent, slot
+	op.c.Net.Send(cp.sendFn)
+}
+
+// arm schedules the policy's timer, which holds a reference until it fires.
+func (op *getOp) arm(d time.Duration) {
+	op.refs++
+	op.c.Eng.After(d, op.timerFn)
+}
+
+// stale reports whether a copy's reply can no longer decide the get.
+func (op *getOp) stale(cp *getCopy) bool { return op.won || cp.seq <= op.floor }
+
+// win records the verdict; the kernel delivers it once the policy hook
+// returns.
+func (op *getOp) win(tries int, err error) {
+	op.won = true
+	op.res = GetResult{Latency: op.c.Eng.Now().Sub(op.start), Tries: tries, Err: err}
+}
+
+// release gives back a revocable copy's handle, first revoking its IO if
+// cancel is set; an empty slot is a no-op.
+func (op *getOp) release(slot int, cancel bool) {
+	h := op.handles[slot]
+	if h == nil {
+		return
+	}
+	if cancel {
+		h.Cancel()
+	}
+	h.Done()
+	op.handles[slot] = nil
+}
+
+// settle drops one reference and, if the get was just won, hands the user
+// the verdict — after the op may have been recycled, so the callback is
+// free to start the next get on it.
+func (op *getOp) settle() {
+	onDone := op.onDone
+	if !op.won || onDone == nil {
+		op.deref()
+		return
+	}
+	op.onDone = nil
+	res := op.res
+	op.deref()
+	onDone(res)
 }
 
 func (op *getOp) deref() {
@@ -106,50 +206,124 @@ func (op *getOp) deref() {
 	if op.refs > 0 {
 		return
 	}
-	op.won = false
+	// A get that never won (every copy refused with nothing left to try)
+	// still holds its handles.
+	op.release(0, false)
+	op.release(1, false)
+	op.won, op.onDone, op.err = false, nil, nil
 	op.c.pools.getOps.release(op)
 }
 
-func (op *getOp) reply(err error) {
-	if op.won {
-		if wasted(err) {
-			*op.wastedIOs++ // the losing copy's IO ran to completion
-		}
+func (op *getOp) freeCopy(cp *getCopy) {
+	cp.op, cp.err = nil, nil
+	op.c.pools.getCopies.release(cp)
+}
+
+// send is the request hop landing at the replica.
+func (cp *getCopy) send() {
+	op := cp.op
+	n := op.c.Nodes[cp.node]
+	if cp.slot < 0 {
+		n.serve(opGet, op.key, cp.deadline, cp.serveFn, nil)
+		return
+	}
+	if op.stale(cp) {
+		// Superseded before the request even landed: nothing is served.
+		op.freeCopy(cp)
 		op.deref()
 		return
 	}
-	op.pending--
-	if errors.Is(err, ErrNodeDown) {
-		if op.hedges != nil && op.sent == 1 {
-			// Primary crashed: don't wait out HedgeAfter, go to the
-			// secondary now. The timer finds sent == 2 and stays quiet, so
-			// no third copy ever goes out.
-			op.send(op.replicas[1])
-			op.deref()
-			return
-		}
-		if op.pending > 0 {
-			op.deref()
-			return // that node crashed mid-flight; the sibling decides
-		}
-	}
-	op.won = true
-	// A primary that completes after a hedge went out must not report
-	// Tries: 1, hiding the duplicated IO from the per-try accounting.
-	onDone, res := op.finish(op.sent, err)
-	op.deref()
-	onDone(res)
+	op.pending++
+	op.handles[cp.slot] = n.ServeGetCancelable(op.key, 0, cp.serveFn)
 }
 
-// timerFire is the hedge timer: an engine-owned recycled event that cannot
-// be cancelled, so it holds a reference and stays quiet when it finds the
-// get already hedged or won.
-func (op *getOp) timerFire() {
-	if !op.won && op.sent == 1 {
-		*op.hedges++
-		op.send(op.replicas[1])
+func (cp *getCopy) serve(err error) {
+	op := cp.op
+	cp.err = err
+	// The response piggybacks the server's queue depth now — by the time
+	// the client reads it, it is one hop stale.
+	cp.queue = op.c.Nodes[cp.node].OutstandingIOs()
+	if !errors.Is(err, ErrRevoked) {
+		op.c.Net.Send(cp.replyFn)
+		return
 	}
+	if cp.slot < 0 {
+		// Teardown harvest of a stranded serve context: the engine is about
+		// to be reset, so a reply hop would never land. Resolve in place.
+		cp.reply()
+		return
+	}
+	// The revocation dropped the IO before it ran: the copy resolves
+	// silently — no reply hop, no wasted IO. Mid-run only superseded copies
+	// are revoked, and their handles are the policy's; a copy still current
+	// here is a teardown harvest and gives its handle back.
+	if !op.stale(cp) {
+		op.release(cp.slot, false)
+	}
+	op.freeCopy(cp)
 	op.deref()
+}
+
+// reply is the response hop landing back at the client.
+func (cp *getCopy) reply() {
+	op, err := cp.op, cp.err
+	if op.stale(cp) {
+		if op.wasted != nil && wasted(err) {
+			*op.wasted++ // the losing copy's IO ran to completion
+		}
+	} else {
+		op.pending--
+		op.pol.onReply(op, cp, err)
+	}
+	op.freeCopy(cp)
+	op.settle()
+}
+
+func (op *getOp) timerFire() {
+	op.fired++
+	if !op.won {
+		op.pol.onTimer(op)
+	}
+	op.settle()
+}
+
+// race is the verdict rule Base, Clone and Hedged share: the first
+// decisive reply wins, and a crashed node's refusal is not decisive while a
+// sibling copy is still out. Tries is the number of copies sent, so a
+// primary that completes after a hedge went out does not report Tries: 1
+// and hide the duplicated IO from the per-try accounting.
+func (op *getOp) race(err error) {
+	if errors.Is(err, ErrNodeDown) && op.pending > 0 {
+		return // that node crashed mid-flight; the sibling decides
+	}
+	op.win(op.sent, err)
+}
+
+// livePair picks the copies Clone and Tied send: two distinct random
+// replicas out of the live ones (with every node up the filter is the
+// identity and the random draws are unchanged). A pair needs two survivors:
+// with one it is returned alone, and with none the primary, whose refusal
+// fails the get fast; second is -1 in both cases. live is the caller's
+// selection scratch, returned for reuse.
+func livePair(c *Cluster, rng *sim.RNG, replicas, live []int) (_ []int, first, second int) {
+	live = live[:0]
+	for _, r := range replicas {
+		if !c.Nodes[r].Down() {
+			live = append(live, r)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return live, replicas[0], -1
+	case 1:
+		return live, live[0], -1
+	}
+	i := rng.Intn(len(live))
+	j := rng.Intn(len(live) - 1)
+	if j >= i {
+		j++
+	}
+	return live, live[i], live[j]
 }
 
 // BaseStrategy is vanilla MongoDB on vanilla Linux: ask the primary
@@ -163,9 +337,12 @@ func (s *BaseStrategy) Name() string { return "Base" }
 
 // Get implements Strategy.
 func (s *BaseStrategy) Get(key int64, onDone func(GetResult)) {
-	op := s.C.newGetOp(key, onDone, nil, nil)
-	op.send(op.replicas[0])
+	op := s.C.newGet(s, key, onDone, nil)
+	op.send(op.replicas[0], 0)
 }
+
+func (s *BaseStrategy) onReply(op *getOp, _ *getCopy, err error) { op.race(err) }
+func (s *BaseStrategy) onTimer(*getOp)                           {}
 
 // TimeoutStrategy is the "AppTO" comparison: cancel and retry on the next
 // replica after TO, with the timeout disabled on the final try so users do
@@ -184,162 +361,47 @@ type TimeoutStrategy struct {
 	WastedIOs uint64
 }
 
-// timeoutOp is the pooled per-get context. Each retry round is a separate
-// pooled timeoutAttempt, because a superseded attempt's callbacks (a late
-// completion, or the drop of its revoked IO) can still be in flight while
-// the next round runs; the op is reclaimed when its last attempt resolves.
-type timeoutOp struct {
-	getReq
-	s    *TimeoutStrategy
-	refs int // live attempts holding this op
-}
-
-// timeoutAttempt is one retry round: request hop, serve callback, response
-// hop, and (except on the final round) the retry timer. The timer is an
-// engine-owned recycled event that cannot be cancelled, so it holds a
-// reference and no-ops when it finds the attempt already resolved.
-type timeoutAttempt struct {
-	op   *timeoutOp
-	idx  int
-	done bool
-	h    *ServeHandle
-	err  error
-	refs int // pending callbacks: the hop/serve/reply chain plus the timer
-
-	sendFn  func()      // pre-bound a.send: request hop
-	serveFn func(error) // pre-bound a.serve: serve completion
-	replyFn func()      // pre-bound a.reply: response hop
-	timerFn func()      // pre-bound a.timerFire: retry timer
-}
-
-func (op *timeoutOp) bind() {}
-
-func (a *timeoutAttempt) bind() {
-	a.sendFn = a.send
-	a.serveFn = a.serve
-	a.replyFn = a.reply
-	a.timerFn = a.timerFire
-}
-
 // Name implements Strategy.
 func (s *TimeoutStrategy) Name() string { return "AppTO" }
 
 // Get implements Strategy.
 func (s *TimeoutStrategy) Get(key int64, onDone func(GetResult)) {
-	op := acquire(&s.C.pools.timeoutOps)
-	op.s = s // pooled across fleets: rebind the owner
-	op.begin(s.C, key, onDone)
-	op.attempt(0)
+	s.attempt(s.C.newGet(s, key, onDone, &s.WastedIOs))
 }
 
-func (op *timeoutOp) attempt(i int) {
-	s := op.s
-	a := acquire(&s.C.pools.timeoutAtts)
-	a.op, a.idx = op, i
-	op.refs++
-	if i < len(op.replicas)-1 {
-		a.refs = 2 // the callback chain plus the retry timer
-		s.C.Eng.After(s.TO, a.timerFn)
-	} else {
-		a.refs = 1 // final try: the timeout is disabled (§7.2)
+// attempt sends the next try, a revocable copy in slot 0, to the next
+// replica; every try but the last arms its retry timer first.
+func (s *TimeoutStrategy) attempt(op *getOp) {
+	if op.sent < len(op.replicas)-1 {
+		op.arm(s.TO)
 	}
-	s.C.Net.Send(a.sendFn)
+	op.sendRevocable(op.replicas[op.sent], 0)
 }
 
-func (op *timeoutOp) deref() {
-	op.refs--
-	if op.refs > 0 {
-		return
-	}
-	op.onDone = nil
-	op.c.pools.timeoutOps.release(op)
-}
-
-func (a *timeoutAttempt) deref() {
-	a.refs--
-	if a.refs > 0 {
-		return
-	}
-	op := a.op
-	a.op, a.h, a.err = nil, nil, nil
-	a.done = false
-	op.c.pools.timeoutAtts.release(a)
-	op.deref()
-}
-
-// send is the request hop landing at the replica.
-func (a *timeoutAttempt) send() {
-	if a.done {
-		// Timed out before the request hop even landed: nothing was served.
-		a.deref()
-		return
-	}
-	op := a.op
-	a.h = op.c.Nodes[op.replicas[a.idx]].ServeGetCancelable(op.key, 0, a.serveFn)
-}
-
-func (a *timeoutAttempt) serve(err error) {
-	if errors.Is(err, ErrRevoked) {
-		// The revocation dropped the IO before it ran: the abandoned
-		// attempt resolves silently — no reply hop, no wasted IO. A
-		// mid-run revocation already Cancel+Done'd the handle in timerFire;
-		// the handle is still held only when the teardown harvest revokes a
-		// stranded attempt, and must go back to the pool with it.
-		if a.h != nil {
-			a.h.Done()
-			a.h = nil
-		}
-		a.deref()
-		return
-	}
-	a.err = err
-	a.op.c.Net.Send(a.replyFn)
-}
-
-// reply is the response hop landing back at the client.
-func (a *timeoutAttempt) reply() {
-	op, err := a.op, a.err
-	s := op.s
-	if a.done {
-		if wasted(err) {
-			s.WastedIOs++ // revoked too late: the IO ran
-		}
-		a.deref()
-		return
-	}
-	a.done = true
-	if a.h != nil {
-		a.h.Done()
-		a.h = nil
-	}
-	if errors.Is(err, ErrNodeDown) && a.idx < len(op.replicas)-1 {
+func (s *TimeoutStrategy) onReply(op *getOp, _ *getCopy, err error) {
+	op.release(0, false)
+	if errors.Is(err, ErrNodeDown) && op.sent < len(op.replicas) {
 		// Crashed replica: its refusal came back in one RTT; retry now
 		// rather than waiting out TO.
 		s.Retries++
-		op.attempt(a.idx + 1)
-		a.deref()
+		s.attempt(op)
 		return
 	}
-	onDone, res := op.finish(a.idx+1, err)
-	a.deref()
-	onDone(res)
+	op.win(op.sent, err)
 }
 
-func (a *timeoutAttempt) timerFire() {
-	op := a.op
-	if !a.done {
-		a.done = true
-		op.s.Retries++
-		// Abandon the attempt AND revoke its IO, so the stale IO does not
-		// compete with every later attempt for the device.
-		if a.h != nil {
-			a.h.Cancel()
-			a.h.Done()
-			a.h = nil
-		}
-		op.attempt(a.idx + 1)
+// onTimer abandons the current try AND revokes its IO, so the stale IO does
+// not compete with every later try for the device. Every timer is TO long
+// and each try arms at most one, in order, so the k-th firing belongs to
+// the k-th try; one whose try already failed over on a crash stays quiet.
+func (s *TimeoutStrategy) onTimer(op *getOp) {
+	if op.fired != op.sent {
+		return
 	}
-	a.deref()
+	s.Retries++
+	op.release(0, true)
+	op.floor = op.sent
+	s.attempt(op)
 }
 
 // CloneStrategy duplicates every request to two random replicas and takes
@@ -360,35 +422,18 @@ func (s *CloneStrategy) Name() string { return "Clone" }
 
 // Get implements Strategy.
 func (s *CloneStrategy) Get(key int64, onDone func(GetResult)) {
-	op := s.C.newGetOp(key, onDone, &s.WastedIOs, nil)
-	// Select among live replicas only; cloning to a crashed node would
-	// just burn an RTT on a refusal. With every node up this filter is
-	// the identity and the random draws are unchanged.
-	s.live = s.live[:0]
-	for _, r := range op.replicas {
-		if !s.C.Nodes[r].Down() {
-			s.live = append(s.live, r)
-		}
-	}
-	switch len(s.live) {
-	case 0:
-		// Whole replica set down: fail fast via the primary's refusal.
-		op.send(op.replicas[0])
-	case 1:
-		// One survivor: a clone pair is impossible (the old code's
-		// RNG.Intn(0) panic); send a single copy.
-		op.send(s.live[0])
-	default:
-		// Two distinct random replicas out of the live choices.
-		i := s.RNG.Intn(len(s.live))
-		j := s.RNG.Intn(len(s.live) - 1)
-		if j >= i {
-			j++
-		}
-		op.send(s.live[i])
-		op.send(s.live[j])
+	op := s.C.newGet(s, key, onDone, &s.WastedIOs)
+	// Cloning to a crashed node would just burn an RTT on a refusal.
+	var first, second int
+	s.live, first, second = livePair(s.C, s.RNG, op.replicas, s.live)
+	op.send(first, 0)
+	if second >= 0 {
+		op.send(second, 0)
 	}
 }
+
+func (s *CloneStrategy) onReply(op *getOp, _ *getCopy, err error) { op.race(err) }
+func (s *CloneStrategy) onTimer(*getOp)                           {}
 
 // HedgedStrategy sends a secondary request only after the first has been
 // outstanding longer than the expected p95 latency (Dean & Barroso;
@@ -409,10 +454,55 @@ func (s *HedgedStrategy) Name() string { return "Hedged" }
 
 // Get implements Strategy.
 func (s *HedgedStrategy) Get(key int64, onDone func(GetResult)) {
-	op := s.C.newGetOp(key, onDone, &s.WastedIOs, &s.Hedges)
-	op.refs++ // the hedge timer
-	s.C.Eng.After(s.HedgeAfter, op.timerFn)
-	op.send(op.replicas[0])
+	op := s.C.newGet(s, key, onDone, &s.WastedIOs)
+	op.arm(s.HedgeAfter)
+	op.send(op.replicas[0], 0)
+}
+
+func (s *HedgedStrategy) onReply(op *getOp, _ *getCopy, err error) {
+	if errors.Is(err, ErrNodeDown) && op.sent == 1 {
+		// Primary crashed: don't wait out HedgeAfter, go to the secondary
+		// now. The timer finds sent == 2 and stays quiet, so no third copy
+		// ever goes out.
+		op.send(op.replicas[1], 0)
+		return
+	}
+	op.race(err)
+}
+
+func (s *HedgedStrategy) onTimer(op *getOp) {
+	if op.sent == 1 {
+		s.Hedges++
+		op.send(op.replicas[1], 0)
+	}
+}
+
+// replicaStat is a client's running view of one replica, kept per node by
+// the adaptive-selection strategies.
+type replicaStat struct {
+	seen bool     // a reply from this replica has been observed
+	lat  float64  // EWMA response latency, ns
+	qEst float64  // C3: server-reported queue size (stale feedback)
+	qAt  sim.Time // C3: when that feedback was received
+	out  int      // C3: client-local concurrency compensation
+}
+
+// observe folds one response latency into the EWMA; the first sample
+// seeds it.
+func (st *replicaStat) observe(lat time.Duration, alpha float64) {
+	prev := st.lat
+	if !st.seen {
+		prev, st.seen = float64(lat), true
+	}
+	st.lat = prev*(1-alpha) + float64(lat)*alpha
+}
+
+// replicaStats sizes a per-node stat table on first use.
+func replicaStats(stats []replicaStat, c *Cluster) []replicaStat {
+	if stats == nil {
+		stats = make([]replicaStat, len(c.Nodes))
+	}
+	return stats
 }
 
 // SnitchStrategy keeps an EWMA of each replica's recent latency and always
@@ -422,8 +512,7 @@ type SnitchStrategy struct {
 	// Alpha is the EWMA weight of new samples.
 	Alpha float64
 
-	ewma     map[int]float64
-	replicas []int // scratch, reused across gets
+	stats []replicaStat
 }
 
 // Name implements Strategy.
@@ -431,38 +520,31 @@ func (s *SnitchStrategy) Name() string { return "Snitch" }
 
 // Get implements Strategy.
 func (s *SnitchStrategy) Get(key int64, onDone func(GetResult)) {
-	if s.ewma == nil {
-		s.ewma = make(map[int]float64)
-	}
+	s.stats = replicaStats(s.stats, s.C)
 	if s.Alpha <= 0 {
 		s.Alpha = 0.3
 	}
-	start := s.C.Eng.Now()
-	s.replicas = s.C.ReplicasInto(key, s.replicas)
-	best := s.replicas[0]
+	op := s.C.newGet(s, key, onDone, nil)
+	best := op.replicas[0]
 	bestScore := math.MaxFloat64
-	for _, r := range s.replicas {
+	for _, r := range op.replicas {
 		if s.C.Nodes[r].Down() {
 			continue // a crashed replica's fast refusals would look "fast"
 		}
-		score, seen := s.ewma[r]
-		if !seen {
-			score = 0 // explore unknown replicas first
-		}
-		if score < bestScore {
+		// Unknown replicas score 0, so they are explored first.
+		if score := s.stats[r].lat; score < bestScore {
 			best, bestScore = r, score
 		}
 	}
-	s.C.ReplicaCall(best, key, 0, func(err error) {
-		lat := s.C.Eng.Now().Sub(start)
-		prev, seen := s.ewma[best]
-		if !seen {
-			prev = float64(lat)
-		}
-		s.ewma[best] = prev*(1-s.Alpha) + float64(lat)*s.Alpha
-		onDone(GetResult{Latency: lat, Tries: 1, Err: err})
-	})
+	op.send(best, 0)
 }
+
+func (s *SnitchStrategy) onReply(op *getOp, cp *getCopy, err error) {
+	s.stats[cp.node].observe(s.C.Eng.Now().Sub(op.start), s.Alpha)
+	op.win(1, err)
+}
+
+func (s *SnitchStrategy) onTimer(*getOp) {}
 
 // C3Strategy implements C3's replica ranking (Suresh et al., NSDI'15): an
 // EWMA of response latencies plus a cubic penalty on the server-reported
@@ -475,12 +557,8 @@ type C3Strategy struct {
 	C     *Cluster
 	Alpha float64
 
-	lat      map[int]float64  // EWMA response latency per replica
-	qEst     map[int]float64  // server-reported queue size (stale feedback)
-	qAt      map[int]sim.Time // when that feedback was received
-	out      map[int]int      // client-local concurrency compensation
-	decay    time.Duration    // feedback aging constant (C3's rate control)
-	replicas []int            // scratch, reused across gets
+	stats []replicaStat
+	decay time.Duration // feedback aging constant (C3's rate control)
 }
 
 // Name implements Strategy.
@@ -488,61 +566,48 @@ func (s *C3Strategy) Name() string { return "C3" }
 
 // Get implements Strategy.
 func (s *C3Strategy) Get(key int64, onDone func(GetResult)) {
-	if s.lat == nil {
-		s.lat = make(map[int]float64)
-		s.qEst = make(map[int]float64)
-		s.qAt = make(map[int]sim.Time)
-		s.out = make(map[int]int)
-	}
+	s.stats = replicaStats(s.stats, s.C)
 	if s.Alpha <= 0 {
 		s.Alpha = 0.3
 	}
 	if s.decay <= 0 {
 		s.decay = 2 * time.Second
 	}
-	start := s.C.Eng.Now()
-	s.replicas = s.C.ReplicasInto(key, s.replicas)
-	best := s.replicas[0]
+	op := s.C.newGet(s, key, onDone, nil)
+	best := op.replicas[0]
 	bestScore := math.MaxFloat64
-	for _, r := range s.replicas {
+	for _, r := range op.replicas {
 		if s.C.Nodes[r].Down() {
 			continue // crashed replicas drop out of the ranking
 		}
-		l := s.lat[r]
+		st := &s.stats[r]
 		// C3's concurrency-compensated queue estimate: the stale
 		// server-reported depth (aged — C3's rate control lets shunned
 		// replicas be retried after a while) plus our own outstanding.
-		age := float64(start.Sub(s.qAt[r])) / float64(s.decay)
-		stale := s.qEst[r] / (1 + age)
-		q := stale + float64(s.out[r]) + 1
-		score := l * q * q * q // the cubic queue penalty
+		age := float64(op.start.Sub(st.qAt)) / float64(s.decay)
+		stale := st.qEst / (1 + age)
+		q := stale + float64(st.out) + 1
+		score := st.lat * q * q * q // the cubic queue penalty
 		if score < bestScore {
 			best, bestScore = r, score
 		}
 	}
-	s.out[best]++
-	node := s.C.Nodes[best]
-	s.C.Net.Send(func() {
-		node.ServeGet(key, 0, func(err error) {
-			// The response piggybacks the server's queue depth *now* —
-			// by the time the client reads it, it is one hop stale, and
-			// it only refreshes when this replica is asked again.
-			reported := float64(node.OutstandingIOs())
-			s.C.Net.Send(func() {
-				s.out[best]--
-				s.qEst[best] = reported
-				s.qAt[best] = s.C.Eng.Now()
-				lat := s.C.Eng.Now().Sub(start)
-				prev, seen := s.lat[best]
-				if !seen {
-					prev = float64(lat)
-				}
-				s.lat[best] = prev*(1-s.Alpha) + float64(lat)*s.Alpha
-				onDone(GetResult{Latency: lat, Tries: 1, Err: err})
-			})
-		})
-	})
+	s.stats[best].out++
+	op.send(best, 0)
 }
+
+// onReply takes the queue depth the reply piggybacks; it only refreshes
+// when this replica is asked again.
+func (s *C3Strategy) onReply(op *getOp, cp *getCopy, err error) {
+	st := &s.stats[cp.node]
+	st.out--
+	st.qEst = float64(cp.queue)
+	st.qAt = s.C.Eng.Now()
+	st.observe(st.qAt.Sub(op.start), s.Alpha)
+	op.win(1, err)
+}
+
+func (s *C3Strategy) onTimer(*getOp) {}
 
 // MittOSStrategy is the paper's contribution at the client: send with the
 // deadline SLO, failover instantly on EBUSY — or on a crashed replica's
@@ -564,88 +629,64 @@ type MittOSStrategy struct {
 	LastDitch uint64
 }
 
-// mittOp is the pooled per-get context: attempts are strictly sequential
-// (at most one replica call outstanding), so one context with pre-bound
-// callbacks and per-op wait scratch covers the whole failover chain.
-type mittOp struct {
-	getReq
-	s       *MittOSStrategy
-	idx     int
-	err     error       // the refusal carried across a RetryOverhead delay
-	replyFn func(error) // pre-bound op.reply
-	lastFn  func(error) // pre-bound op.lastDitchReply
-	nextFn  func()      // pre-bound op.next: post-refusal failover step
-	waits   []time.Duration
-}
-
-func (op *mittOp) bind() {
-	op.replyFn = op.reply
-	op.lastFn = op.lastDitchReply
-	op.nextFn = op.next
-}
-
 // Name implements Strategy.
 func (s *MittOSStrategy) Name() string { return "MittOS" }
 
 // Get implements Strategy.
 func (s *MittOSStrategy) Get(key int64, onDone func(GetResult)) {
-	op := acquire(&s.C.pools.mittOps)
-	op.s = s // pooled across fleets: rebind the owner
-	op.begin(s.C, key, onDone)
-	op.idx = 0
+	op := s.C.newGet(s, key, onDone, nil)
 	op.waits = op.waits[:0]
 	for range op.replicas {
 		op.waits = append(op.waits, 0)
 	}
-	op.attempt()
+	s.attempt(op)
 }
 
-func (op *mittOp) attempt() {
-	s := op.s
+// attempt sends the next try; tries are strictly sequential, so the try
+// number is the count of copies sent.
+func (s *MittOSStrategy) attempt(op *getOp) {
 	deadline := s.Deadline
-	if op.idx == len(op.replicas)-1 && !s.UseWaitHint {
+	if op.sent == len(op.replicas)-1 && !s.UseWaitHint {
 		deadline = 0 // 3rd try disables the deadline (§5)
 	}
-	s.C.ReplicaCall(op.replicas[op.idx], op.key, deadline, op.replyFn)
+	op.send(op.replicas[op.sent], deadline)
 }
 
-func (op *mittOp) reply(err error) {
-	s := op.s
+func (s *MittOSStrategy) onReply(op *getOp, _ *getCopy, err error) {
 	down := errors.Is(err, ErrNodeDown)
-	if core.IsBusy(err) || down {
-		if be, ok := err.(*core.BusyError); ok {
-			op.waits[op.idx] = be.PredictedWait
-		} else if down {
-			// A crashed replica is "busy forever": never the least-busy
-			// pick below.
-			op.waits[op.idx] = time.Duration(math.MaxInt64)
-		}
-		s.Failovers++
-		op.err = err
-		if s.RetryOverhead > 0 {
-			s.C.Eng.After(s.RetryOverhead, op.nextFn)
-			return
-		}
-		op.next()
+	if op.sent > len(op.replicas) || !(core.IsBusy(err) || down) {
+		op.win(op.sent, err) // served, or the last-ditch try's verdict
 		return
 	}
-	op.deliver(op.idx+1, err)
+	if be, ok := err.(*core.BusyError); ok {
+		op.waits[op.sent-1] = be.PredictedWait
+	} else if down {
+		// A crashed replica is "busy forever": never the least-busy pick.
+		op.waits[op.sent-1] = time.Duration(math.MaxInt64)
+	}
+	s.Failovers++
+	op.err = err
+	if s.RetryOverhead > 0 {
+		op.arm(s.RetryOverhead)
+		return
+	}
+	s.next(op)
 }
 
-// next is the failover step after a refusal (EBUSY or node-down), possibly
-// delayed by RetryOverhead.
-func (op *mittOp) next() {
-	s := op.s
-	if op.idx < len(op.replicas)-1 {
-		op.idx++
-		op.attempt()
+// onTimer is the failover step delayed by RetryOverhead.
+func (s *MittOSStrategy) onTimer(op *getOp) { s.next(op) }
+
+// next is the failover step after a refusal (EBUSY or node-down).
+func (s *MittOSStrategy) next(op *getOp) {
+	if op.sent < len(op.replicas) {
+		s.attempt(op)
 		return
 	}
 	err := op.err
 	if errors.Is(err, ErrNodeDown) && !s.UseWaitHint {
 		// The deadline was already disabled on this final try; a crash
 		// leaves nothing to fail over to.
-		op.deliver(op.idx+1, err)
+		op.win(op.sent, err)
 		return
 	}
 	// All replicas rejected under the wait-hint extension: go to the
@@ -661,20 +702,8 @@ func (op *mittOp) next() {
 		}
 	}
 	if best < 0 {
-		// The whole replica set is down.
-		op.deliver(len(op.replicas), err)
+		op.win(op.sent, err) // the whole replica set is down
 		return
 	}
-	s.C.ReplicaCall(op.replicas[best], op.key, 0, op.lastFn)
-}
-
-func (op *mittOp) lastDitchReply(err error) {
-	op.deliver(len(op.replicas)+1, err)
-}
-
-func (op *mittOp) deliver(tries int, err error) {
-	onDone, res := op.finish(tries, err)
-	op.err = nil
-	op.c.pools.mittOps.release(op)
-	onDone(res)
+	op.send(op.replicas[best], 0)
 }

@@ -39,105 +39,56 @@ type TiedStrategy struct {
 // Name implements Strategy.
 func (s *TiedStrategy) Name() string { return "Tied" }
 
-// Get implements Strategy.
+// Get implements Strategy: Clone's live pair, but the second copy goes out
+// only after Delay, and both copies are revocable.
 func (s *TiedStrategy) Get(key int64, onDone func(GetResult)) {
-	start := s.C.Eng.Now()
-	replicas := s.C.ReplicasFor(key)
-	// Tie only live replicas; with every node up the filter is the
-	// identity and the random draws are unchanged.
-	s.live = s.live[:0]
-	for _, r := range replicas {
-		if !s.C.Nodes[r].Down() {
-			s.live = append(s.live, r)
-		}
-	}
-	if len(s.live) == 0 {
-		// Whole replica set down: fail fast via the primary's refusal.
-		s.C.ReplicaCall(replicas[0], key, 0, func(err error) {
-			onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: 1, Err: err})
-		})
+	op := s.C.newGet(s, key, onDone, &s.WastedIOs)
+	op.cancelled = &s.Cancelled
+	var first, second int
+	s.live, first, second = livePair(s.C, s.RNG, op.replicas, s.live)
+	if second < 0 {
+		// No live pair to tie: send a single plain copy.
+		op.send(first, 0)
 		return
 	}
-	if len(s.live) == 1 {
-		// One survivor: a tied pair is impossible (the old code's
-		// RNG.Intn(0) panic); send a single plain copy.
-		s.C.ReplicaCall(s.live[0], key, 0, func(err error) {
-			onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: 1, Err: err})
-		})
-		return
-	}
-	i := s.RNG.Intn(len(s.live))
-	j := s.RNG.Intn(len(s.live) - 1)
-	if j >= i {
-		j++
-	}
-	won := false
-	pending := 0
-	handles := [2]*ServeHandle{}
-	finish := func(idx, tries int) func(error) {
-		return func(err error) {
-			if won {
-				if wasted(err) {
-					s.WastedIOs++ // the cancel lost the race with the device
-				}
-				return
-			}
-			pending--
-			if errors.Is(err, ErrNodeDown) && (pending > 0 || tries == 1) {
-				// That node crashed mid-flight; the sibling (already out,
-				// or still to be sent by the delay timer) decides.
-				return
-			}
-			won = true
-			// Cancellation message to the sibling: one network hop, then
-			// revoke whatever is still in the scheduler queues. Both handles
-			// are released afterwards; the pooled handle must not be touched
-			// once Done, so they are dropped in the same hop.
-			other := 1 - idx
-			s.C.Net.Send(func() {
-				if h := handles[other]; h != nil {
-					h.Cancel()
-					s.Cancelled++
-				}
-				for k, h := range handles {
-					if h != nil {
-						h.Done()
-						handles[k] = nil
-					}
-				}
-			})
-			onDone(GetResult{Latency: s.C.Eng.Now().Sub(start), Tries: tries, Err: err})
-		}
-	}
-	send := func(idx, node, tries int) {
-		s.C.Net.Send(func() {
-			if won {
-				return // lost the race with the winner's cancel hop
-			}
-			pending++
-			handles[idx] = s.C.Nodes[node].ServeGetCancelable(key, 0, func(err error) {
-				if errors.Is(err, ErrRevoked) {
-					// The winner's cancel dropped this IO before it ran;
-					// there is no reply to race.
-					return
-				}
-				s.C.Net.Send(func() { finish(idx, tries)(err) })
-			})
-		})
-	}
-	// Resolve the pair to node indices now: s.live is shared scratch and
-	// the delay timer below outlives this Get.
-	first, second := s.live[i], s.live[j]
-	// First copy immediately; the tied copy after Delay unless already won.
-	send(0, first, 1)
+	op.alt = second
+	op.sendRevocable(first, 0)
 	delay := s.Delay
 	if delay <= 0 {
 		delay = 2 * s.C.Net.Config().HopLatency
 	}
-	s.C.Eng.After(delay, func() {
-		if won {
-			return
-		}
-		send(1, second, 2)
-	})
+	op.arm(delay)
+}
+
+// onTimer sends the tied copy unless the get is already won.
+func (s *TiedStrategy) onTimer(op *getOp) { op.sendRevocable(op.alt, 1) }
+
+func (s *TiedStrategy) onReply(op *getOp, cp *getCopy, err error) {
+	if cp.slot < 0 {
+		op.win(1, err) // the single plain copy
+		return
+	}
+	tries := cp.slot + 1
+	if errors.Is(err, ErrNodeDown) && (op.pending > 0 || tries == 1) {
+		// That node crashed mid-flight; the sibling (already out, or still
+		// to be sent by the delay timer) decides.
+		return
+	}
+	op.win(tries, err)
+	// Cancellation message to the sibling: one network hop, then revoke
+	// whatever is still in the scheduler queues.
+	op.winner = cp.slot
+	op.refs++
+	s.C.Net.Send(op.revokeFn)
+}
+
+// revokeHop is the Tied winner's cancel message landing: revoke the
+// sibling's IO if it still holds a handle, then release both handles.
+func (op *getOp) revokeHop() {
+	if op.handles[1-op.winner] != nil {
+		*op.cancelled++
+	}
+	op.release(1-op.winner, true)
+	op.release(op.winner, false)
+	op.deref()
 }
