@@ -182,7 +182,7 @@ func (s *primaryFirstBase) Name() string { return "Base" }
 // Get implements cluster.Strategy.
 func (s *primaryFirstBase) Get(key int64, onDone func(cluster.GetResult)) {
 	start := s.c.Eng.Now()
-	replicaCallOn(s.c, s.primary, key, 0, func(err error) {
+	s.c.ReplicaCall(s.primary, key, 0, func(err error) {
 		onDone(cluster.GetResult{Latency: s.c.Eng.Now().Sub(start), Tries: 1, Err: err})
 	})
 }
@@ -209,7 +209,7 @@ func (s *primaryFirstMitt) Get(key int64, onDone func(cluster.GetResult)) {
 		if i == len(order)-1 {
 			deadline = 0
 		}
-		replicaCallOn(s.c, order[i], key, deadline, func(err error) {
+		s.c.ReplicaCall(order[i], key, deadline, func(err error) {
 			if err != nil && i+1 < len(order) {
 				attempt(i + 1)
 				return
@@ -218,12 +218,6 @@ func (s *primaryFirstMitt) Get(key int64, onDone func(cluster.GetResult)) {
 		})
 	}
 	attempt(0)
-}
-
-// replicaCallOn mirrors the cluster strategies' network plumbing for a
-// fixed node, via the cluster's pooled call context.
-func replicaCallOn(c *cluster.Cluster, node int, key int64, deadline time.Duration, onDone func(error)) {
-	c.ReplicaCall(node, key, deadline, onDone)
 }
 
 // fig4Summary renders the per-panel p95/p99 deltas for EXPERIMENTS.md.

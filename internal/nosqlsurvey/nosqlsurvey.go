@@ -106,7 +106,7 @@ func (s *systemStrategy) get(key int64, onDone func(lat time.Duration, err error
 			// No failover: the user gets a read error (§2).
 			onDone(s.c.Eng.Now().Sub(start), ErrTimeout)
 		})
-		s.sendTo(replicas[i], key, func(err error) {
+		s.c.ReplicaCall(replicas[i], key, 0, func(err error) {
 			if done {
 				return
 			}
@@ -116,14 +116,6 @@ func (s *systemStrategy) get(key int64, onDone func(lat time.Duration, err error
 		})
 	}
 	attempt(0)
-}
-
-func (s *systemStrategy) sendTo(node int, key int64, onDone func(error)) {
-	s.c.Net.Send(func() {
-		s.c.Nodes[node].ServeGet(key, 0, func(err error) {
-			s.c.Net.Send(func() { onDone(err) })
-		})
-	})
 }
 
 // RunOptions shape the survey experiment.
