@@ -203,15 +203,6 @@ const (
 	fleetSSD
 )
 
-// newFleet builds a fresh fleet on a cold heap. Each strategy run gets its
-// own fleet with the same seed, so strategies face identical noise timelines
-// — the paper's "apply EC2 noise distributions to our testbed" methodology
-// (§7.2). Legs running under runLegs should prefer legArena.newFleet, which
-// recycles the engine and every pooled resource between legs.
-func newFleet(opt Options, kind fleetKind, mitt bool, seedSalt string) *fleet {
-	return newFleetOn(nil, sim.NewEngine(), opt, kind, mitt, seedSalt)
-}
-
 // newFleetOn builds a fleet on an existing engine — used when several
 // tiers must demonstrably co-exist in one deployment (§7.8.5) and by the
 // arena path. A non-nil arena supplies the shared serve-context/request

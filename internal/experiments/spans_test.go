@@ -6,6 +6,7 @@ import (
 
 	"mittos/internal/cluster"
 	"mittos/internal/metrics"
+	"mittos/internal/sim"
 )
 
 // Span property tests: run real experiment legs with full span tracing and
@@ -190,4 +191,9 @@ func TestSpanInvariantsFig7(t *testing.T) {
 	for _, sn := range res.Metrics {
 		checkSpanInvariants(t, sn)
 	}
+}
+
+// newFleet builds a fresh fleet on a cold heap, outside any leg arena.
+func newFleet(opt Options, kind fleetKind, mitt bool, seedSalt string) *fleet {
+	return newFleetOn(nil, sim.NewEngine(), opt, kind, mitt, seedSalt)
 }

@@ -410,35 +410,3 @@ func colorOf(n *rbNode) rbColor {
 	return n.color
 }
 
-// checkInvariants validates red-black properties; used by property tests.
-// It returns the black-height, or -1 on violation.
-func (t *rbTree) checkInvariants() int {
-	if colorOf(t.root) != rbBlack {
-		return -1
-	}
-	var check func(n *rbNode) int
-	check = func(n *rbNode) int {
-		if n == nil {
-			return 1
-		}
-		if n.color == rbRed && (colorOf(n.left) == rbRed || colorOf(n.right) == rbRed) {
-			return -1
-		}
-		if n.left != nil && !n.left.key.less(n.key) {
-			return -1
-		}
-		if n.right != nil && !n.key.less(n.right.key) {
-			return -1
-		}
-		lh := check(n.left)
-		rh := check(n.right)
-		if lh < 0 || rh < 0 || lh != rh {
-			return -1
-		}
-		if n.color == rbBlack {
-			return lh + 1
-		}
-		return lh
-	}
-	return check(t.root)
-}

@@ -137,3 +137,54 @@ func TestServiceTreeNodeRecycling(t *testing.T) {
 		}
 	}
 }
+
+// each visits process nodes in round-robin order; return false to stop.
+func (t *serviceTree) each(fn func(*procNode) bool) bool {
+	var walk func(n *stNode) bool
+	walk = func(n *stNode) bool {
+		if n == nil {
+			return true
+		}
+		return walk(n.left) && fn(n.pn) && walk(n.right)
+	}
+	return walk(t.root)
+}
+
+// checkAggregates validates red-black shape, key order, and the subtree-sum
+// invariant. Returns the black-height or -1 on any violation.
+func (t *serviceTree) checkAggregates() int {
+	if stColor(t.root) != rbBlack {
+		return -1
+	}
+	var check func(n *stNode) int
+	check = func(n *stNode) int {
+		if n == nil {
+			return 1
+		}
+		if n.color == rbRed && (stColor(n.left) == rbRed || stColor(n.right) == rbRed) {
+			return -1
+		}
+		if n.left != nil && n.left.key >= n.key {
+			return -1
+		}
+		if n.right != nil && n.right.key <= n.key {
+			return -1
+		}
+		if n.sum != stSum(n.left)+stSum(n.right)+n.pn.contrib {
+			return -1
+		}
+		if n.pn.st != n {
+			return -1
+		}
+		lh := check(n.left)
+		rh := check(n.right)
+		if lh < 0 || rh < 0 || lh != rh {
+			return -1
+		}
+		if n.color == rbBlack {
+			return lh + 1
+		}
+		return lh
+	}
+	return check(t.root)
+}

@@ -1,9 +1,11 @@
-// Package lint holds vet-style checks for determinism hazards the standard
-// toolchain does not catch. The simulation's outputs must be byte-identical
-// across runs and worker counts, and the classic way to lose that property
-// in Go is ranging over a map on a simulation-visible path: iteration order
-// is randomized per run, so any map-ordered sequence of IOs, event
-// schedules, or slot assignments diverges silently.
+// Package lint holds vet-style checks the standard toolchain does not make:
+// CheckMapIter for determinism hazards, and CheckUnused for dead code.
+//
+// The simulation's outputs must be byte-identical across runs and worker
+// counts, and the classic way to lose that property in Go is ranging over a
+// map on a simulation-visible path: iteration order is randomized per run,
+// so any map-ordered sequence of IOs, event schedules, or slot assignments
+// diverges silently.
 //
 // CheckMapIter flags every `for ... range m` where m is map-typed. Ranges
 // whose order provably cannot reach simulation state are suppressed by a
@@ -25,7 +27,7 @@ import (
 	"strings"
 )
 
-// Finding is one unsuppressed map iteration.
+// Finding is one problem a check reports.
 type Finding struct {
 	Pos  string // file:line
 	Text string // one-line description
@@ -36,76 +38,95 @@ type Finding struct {
 // //mapiter:sorted. Test files are skipped: their iteration order cannot
 // reach simulation outputs.
 func CheckMapIter(dirs []string) ([]Finding, error) {
-	// One file set and one source importer for every directory, so each
-	// dependency is type-checked once rather than once per directory.
+	return check(dirs, mapIterIn)
+}
+
+// check runs one checker over the non-test files of each directory's
+// package. One file set and one source importer serve every directory, so
+// each dependency is type-checked once rather than once per directory.
+func check(dirs []string, checker func(*token.FileSet, *loaded) []Finding) ([]Finding, error) {
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
 	var out []Finding
 	for _, dir := range dirs {
-		fs, err := checkDir(fset, imp, dir)
+		pkgs, err := load(fset, imp, dir)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", dir, err)
 		}
-		out = append(out, fs...)
+		for _, pkg := range pkgs {
+			out = append(out, checker(fset, pkg)...)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
 }
 
-func checkDir(fset *token.FileSet, imp types.Importer, dir string) ([]Finding, error) {
+// loaded is one type-checked package: its non-test files, in name order,
+// and what the type checker recorded about them.
+type loaded struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+func load(fset *token.FileSet, imp types.Importer, dir string) ([]*loaded, error) {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	var findings []Finding
+	var out []*loaded
 	for _, name := range sortedKeys(pkgs) {
 		pkg := pkgs[name]
-		files := make([]*ast.File, 0, len(pkg.Files))
+		l := &loaded{info: &types.Info{
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
+		}}
 		for _, fname := range sortedKeys(pkg.Files) {
-			files = append(files, pkg.Files[fname])
+			l.files = append(l.files, pkg.Files[fname])
 		}
 		// Type-check from source so map-typed expressions are recognized
 		// through aliases, struct fields, and function results. Type errors
-		// are tolerated: a partially-typed package still yields the Types
-		// entries the range check needs.
-		conf := types.Config{
-			Importer:         imp,
-			Error:            func(error) {},
-			IgnoreFuncBodies: false,
-		}
-		info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
-		_, _ = conf.Check(dir, fset, files, info)
-
-		for _, f := range files {
-			suppressed := suppressedLines(fset, f)
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := info.Types[rs.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				pos := fset.Position(rs.Pos())
-				if suppressed[pos.Line] {
-					return true
-				}
-				findings = append(findings, Finding{
-					Pos: fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line),
-					Text: fmt.Sprintf("range over map %s: iteration order is nondeterministic; "+
-						"sort the keys or mark //mapiter:sorted", types.ExprString(rs.X)),
-				})
-				return true
-			})
-		}
+		// are tolerated: a partially-typed package still yields the entries
+		// the checks need.
+		conf := types.Config{Importer: imp, Error: func(error) {}}
+		l.pkg, _ = conf.Check(dir, fset, l.files, l.info)
+		out = append(out, l)
 	}
-	return findings, nil
+	return out, nil
+}
+
+func mapIterIn(fset *token.FileSet, pkg *loaded) []Finding {
+	var findings []Finding
+	for _, f := range pkg.files {
+		suppressed := suppressedLines(fset, f)
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			tv, ok := pkg.info.Types[rs.X]
+			if !ok {
+				return true
+			}
+			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			pos := fset.Position(rs.Pos())
+			if suppressed[pos.Line] {
+				return true
+			}
+			findings = append(findings, Finding{
+				Pos: fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line),
+				Text: fmt.Sprintf("range over map %s: iteration order is nondeterministic; "+
+					"sort the keys or mark //mapiter:sorted", types.ExprString(rs.X)),
+			})
+			return true
+		})
+	}
+	return findings
 }
 
 // suppressedLines returns the lines carrying a //mapiter:sorted marker.

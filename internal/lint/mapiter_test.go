@@ -2,30 +2,33 @@ package lint
 
 import "testing"
 
+// simulationPaths is every package an experiment leg runs through.
+var simulationPaths = []string{
+	"../core",
+	"../iosched",
+	"../cluster",
+	"../kv",
+	"../disk",
+	"../sim",
+	"../oscache",
+	"../ssd",
+	"../netsim",
+	"../noise",
+	"../blockio",
+	"../metrics",
+	"../faults",
+	"../ycsb",
+	"../smr",
+	"../vmm",
+	"../experiments",
+}
+
 // TestNoMapIterationOnSimulationPaths is the determinism sweep: every
 // package an experiment leg runs through must not range over maps without
 // an explicit //mapiter:sorted justification. A failure here means a code
 // path whose behavior can differ between two runs of the same seed.
 func TestNoMapIterationOnSimulationPaths(t *testing.T) {
-	findings, err := CheckMapIter([]string{
-		"../core",
-		"../iosched",
-		"../cluster",
-		"../kv",
-		"../disk",
-		"../sim",
-		"../oscache",
-		"../ssd",
-		"../netsim",
-		"../noise",
-		"../blockio",
-		"../metrics",
-		"../faults",
-		"../ycsb",
-		"../smr",
-		"../vmm",
-		"../experiments",
-	})
+	findings, err := CheckMapIter(simulationPaths)
 	if err != nil {
 		t.Fatal(err)
 	}
