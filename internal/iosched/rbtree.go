@@ -409,4 +409,3 @@ func colorOf(n *rbNode) rbColor {
 	}
 	return n.color
 }
-

@@ -344,4 +344,3 @@ func (t *serviceTree) deleteFixup(x *stNode, parent *stNode) {
 		x.color = rbBlack
 	}
 }
-
