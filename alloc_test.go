@@ -1,9 +1,11 @@
-package mittos
+package mittos_test
 
 import (
 	"testing"
 	"time"
 
+	"mittos"
+	"mittos/internal/benchkit"
 	"mittos/internal/blockio"
 	"mittos/internal/cluster"
 	"mittos/internal/core"
@@ -53,11 +55,7 @@ func newAllocCluster(name string, mitt bool) (*sim.Engine, *cluster.Cluster) {
 // here silently multiplies across every experiment's millions of IOs.
 func TestAllocBudgets(t *testing.T) {
 	t.Run("AdmissionDecision", func(t *testing.T) {
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop, Mitt: true, Seed: 1})
-		for i := 0; i < 16; i++ {
-			s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
-		}
+		s := benchkit.AdmissionStack()
 		_ = s.PredictWait(100<<30, 4096) // warm the SSTF-replay scratch
 		avg := testing.AllocsPerRun(200, func() {
 			_ = s.PredictWait(450<<30, 4096)
@@ -67,8 +65,8 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 	t.Run("CFQPredictWait", func(t *testing.T) {
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
+		eng := mittos.NewEngine()
+		s := mittos.NewStack(eng, mittos.StackConfig{Device: mittos.DeviceDisk, Scheduler: mittos.SchedulerCFQ, Mitt: true, Seed: 1})
 		// Populate several process nodes so the prefix queries walk real
 		// trees, plus a device-resident quantum for the mirror replay.
 		for i := 0; i < 16; i++ {
@@ -88,25 +86,7 @@ func TestAllocBudgets(t *testing.T) {
 		// Full accept round trip through MittCFQ with an SLO: admission,
 		// tolerable-table entry, dispatch, completion, recycling. Requests
 		// come from a pool so the path itself is what's measured.
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-		var pool blockio.Pool
-		var ids blockio.IDGen
-		var cur *blockio.Request
-		done := func(error) { cur.Release() }
-		submit := func(off int64) {
-			cur = pool.Get()
-			cur.ID = ids.Next()
-			cur.Op = blockio.Read
-			cur.Offset, cur.Size = off, 4096
-			cur.Proc = 1
-			cur.Deadline = time.Second
-			s.Target().SubmitSLO(cur, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			submit(int64(i+1) * (10 << 30))
-		}
+		submit := benchkit.CFQSubmit()
 		avg := testing.AllocsPerRun(200, func() {
 			submit(300 << 30)
 		})
@@ -115,7 +95,7 @@ func TestAllocBudgets(t *testing.T) {
 		}
 	})
 	t.Run("EngineSchedule", func(t *testing.T) {
-		eng := NewEngine()
+		eng := mittos.NewEngine()
 		// Warm the event freelist.
 		for i := 0; i < 64; i++ {
 			eng.After(time.Duration(i+1)*time.Microsecond, func() {})
@@ -134,7 +114,7 @@ func TestAllocBudgets(t *testing.T) {
 		// engine running a multi-level event mix then Reset must not
 		// allocate — the timing wheel's slot arrays are fixed engine
 		// fields and dropped events return to the freelist.
-		eng := NewEngine()
+		eng := mittos.NewEngine()
 		leg := func() {
 			for i := 0; i < 64; i++ {
 				eng.After(time.Duration(i+1)*100*time.Microsecond, func() {})
@@ -152,20 +132,7 @@ func TestAllocBudgets(t *testing.T) {
 		// The accepted durable-put round trip: WAL group assembly, SLO
 		// admission through MittCFQ, dispatch, completion, memtable apply,
 		// and memory-latency ack — every context on the path is pooled.
-		eng := NewEngine()
-		s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-		cfg := kv.DefaultConfig(0, 100<<30)
-		cfg.MemtableCap = 1 << 30 // isolate the WAL path: never flush
-		var ids blockio.IDGen
-		st := kv.New(eng, cfg, s.Target(), &ids)
-		done := func(error) {}
-		put := func() {
-			st.PutDurable(7, time.Second, done)
-			eng.Run()
-		}
-		for i := 0; i < 64; i++ { // warm every pool on the path
-			put()
-		}
+		put := benchkit.DurablePut()
 		avg := testing.AllocsPerRun(200, func() {
 			put()
 		})
@@ -179,7 +146,7 @@ func TestAllocBudgets(t *testing.T) {
 		// The loadsweep experiment takes this path millions of times per
 		// leg, so it carries the same zero budget as the fixed-interval
 		// loop.
-		eng := NewEngine()
+		eng := mittos.NewEngine()
 		strat := &syncStrategy{}
 		wl := ycsb.New(ycsb.DefaultConfig(10000), sim.NewRNG(9, "alloc-poisson-wl"))
 		cfg := cluster.ClientConfig{

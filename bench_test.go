@@ -1,4 +1,4 @@
-package mittos
+package mittos_test
 
 // One benchmark per table and figure of the paper's evaluation. Each
 // iteration regenerates the experiment end-to-end at quick scale (full
@@ -6,47 +6,24 @@ package mittos
 // cost of reproducing that result, and the reported custom metrics carry
 // the experiment's headline numbers so regressions in the *shape* of the
 // reproduction show up alongside performance regressions.
+//
+// The headline benchmarks — the ones `mittbench -bench-json` records — are
+// one-line calls into internal/benchkit, which holds their only bodies.
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
-	"mittos/internal/blockio"
-	"mittos/internal/disk"
+	"mittos"
+	"mittos/internal/benchkit"
 	"mittos/internal/experiments"
-	"mittos/internal/kv"
-	"mittos/internal/sim"
 	"mittos/internal/stats"
 )
 
-// reportTailMetrics attaches a series' headline percentiles to the bench.
-func reportTailMetrics(b *testing.B, res *ExperimentResult, series string, prefix string) {
-	b.Helper()
-	s := res.FindSeries(series)
-	if s == nil {
-		return
-	}
-	b.ReportMetric(float64(s.Sample.Percentile(95))/1e6, prefix+"-p95-ms")
-	b.ReportMetric(float64(s.Sample.Percentile(99))/1e6, prefix+"-p99-ms")
-}
-
-func benchExperiment(b *testing.B, id string) *ExperimentResult {
-	b.Helper()
-	var res *ExperimentResult
-	for i := 0; i < b.N; i++ {
-		r, err := RunExperiment(id, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	return res
-}
-
 // BenchmarkTable1 regenerates Table 1 (the NoSQL tail-tolerance survey).
 func BenchmarkTable1(b *testing.B) {
-	benchExperiment(b, "table1")
+	benchkit.Experiment(b, "table1")
 }
 
 // BenchmarkFig3 regenerates Figure 3 (EC2 millisecond dynamism).
@@ -60,16 +37,7 @@ func BenchmarkFig3(b *testing.B) {
 }
 
 // BenchmarkFig4 regenerates Figure 4 (the four microbenchmarks).
-func BenchmarkFig4(b *testing.B) {
-	opt := experiments.QuickFig4Options()
-	opt.Duration = 4 * time.Second
-	var res *ExperimentResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.Fig4(opt)
-	}
-	reportTailMetrics(b, res, "CFQ-LowPrioNoise/MittOS", "mitt")
-	reportTailMetrics(b, res, "CFQ-LowPrioNoise/Base", "base")
-}
+func BenchmarkFig4(b *testing.B) { benchkit.Fig4(b) }
 
 // BenchmarkFig4Metrics is BenchmarkFig4 with the observability layer fully
 // on (counters, histograms, unlimited span tracing) — the recording
@@ -79,43 +47,43 @@ func BenchmarkFig4Metrics(b *testing.B) {
 	opt.Duration = 4 * time.Second
 	opt.Metrics = true
 	opt.TraceIOs = -1
-	var res *ExperimentResult
+	var res *mittos.ExperimentResult
 	for i := 0; i < b.N; i++ {
 		res = experiments.Fig4(opt)
 	}
 	if len(res.Metrics) == 0 {
 		b.Fatal("metrics enabled but no snapshots attached")
 	}
-	reportTailMetrics(b, res, "CFQ-LowPrioNoise/MittOS", "mitt")
+	benchkit.ReportTailMetrics(b, res, "CFQ-LowPrioNoise/MittOS", "mitt")
 }
 
 // BenchmarkFig5 regenerates Figure 5 (MittCFQ vs Hedged/Clone/AppTO).
 func BenchmarkFig5(b *testing.B) {
-	res := benchExperiment(b, "fig5")
-	reportTailMetrics(b, res, "MittCFQ", "mitt")
-	reportTailMetrics(b, res, "Hedged", "hedged")
+	res := benchkit.Experiment(b, "fig5")
+	benchkit.ReportTailMetrics(b, res, "MittCFQ", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Hedged", "hedged")
 }
 
 // BenchmarkFig6 regenerates Figure 6 (tail amplified by scale).
 func BenchmarkFig6(b *testing.B) {
-	res := benchExperiment(b, "fig6")
-	reportTailMetrics(b, res, "MittCFQ-SF10", "mitt-sf10")
-	reportTailMetrics(b, res, "Hedged-SF10", "hedged-sf10")
+	res := benchkit.Experiment(b, "fig6")
+	benchkit.ReportTailMetrics(b, res, "MittCFQ-SF10", "mitt-sf10")
+	benchkit.ReportTailMetrics(b, res, "Hedged-SF10", "hedged-sf10")
 }
 
 // BenchmarkFig7 regenerates Figure 7 (MittCache vs Hedged).
 func BenchmarkFig7(b *testing.B) {
-	res := benchExperiment(b, "fig7")
-	reportTailMetrics(b, res, "MittCache-SF1", "mitt")
-	reportTailMetrics(b, res, "Hedged-SF1", "hedged")
+	res := benchkit.Experiment(b, "fig7")
+	benchkit.ReportTailMetrics(b, res, "MittCache-SF1", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Hedged-SF1", "hedged")
 }
 
 // BenchmarkFig8 regenerates Figure 8 (hedging backfires on a shared-CPU
 // SSD box).
 func BenchmarkFig8(b *testing.B) {
-	res := benchExperiment(b, "fig8")
-	reportTailMetrics(b, res, "MittSSD", "mitt")
-	reportTailMetrics(b, res, "Hedged", "hedged")
+	res := benchkit.Experiment(b, "fig8")
+	benchkit.ReportTailMetrics(b, res, "MittSSD", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Hedged", "hedged")
 }
 
 // BenchmarkFig9 regenerates Figure 9 (prediction accuracy on five traces).
@@ -135,343 +103,93 @@ func BenchmarkFig9(b *testing.B) {
 
 // BenchmarkFig10 regenerates Figure 10 (sensitivity to injected error).
 func BenchmarkFig10(b *testing.B) {
-	res := benchExperiment(b, "fig10")
-	reportTailMetrics(b, res, "NoError", "noerror")
-	reportTailMetrics(b, res, "FalsePos-100%", "fp100")
+	res := benchkit.Experiment(b, "fig10")
+	benchkit.ReportTailMetrics(b, res, "NoError", "noerror")
+	benchkit.ReportTailMetrics(b, res, "FalsePos-100%", "fp100")
 }
 
 // BenchmarkFig11 regenerates Figure 11 (macrobenchmark workload mix).
 func BenchmarkFig11(b *testing.B) {
-	res := benchExperiment(b, "fig11")
-	reportTailMetrics(b, res, "MittCFQ", "mitt")
-	reportTailMetrics(b, res, "Hedged", "hedged")
+	res := benchkit.Experiment(b, "fig11")
+	benchkit.ReportTailMetrics(b, res, "MittCFQ", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Hedged", "hedged")
 }
 
 // BenchmarkFig12 regenerates Figure 12 (C3 vs sub-second burstiness).
 func BenchmarkFig12(b *testing.B) {
-	res := benchExperiment(b, "fig12")
-	reportTailMetrics(b, res, "C3/1B2F-1sec", "c3-fast")
-	reportTailMetrics(b, res, "C3/1B2F-5sec", "c3-slow")
+	res := benchkit.Experiment(b, "fig12")
+	benchkit.ReportTailMetrics(b, res, "C3/1B2F-1sec", "c3-fast")
+	benchkit.ReportTailMetrics(b, res, "C3/1B2F-5sec", "c3-slow")
 }
 
 // BenchmarkFig13 regenerates Figure 13 (LevelDB+Riak two-level EBUSY).
 func BenchmarkFig13(b *testing.B) {
-	res := benchExperiment(b, "fig13")
-	reportTailMetrics(b, res, "MittCFQ", "mitt")
-	reportTailMetrics(b, res, "Base", "base")
+	res := benchkit.Experiment(b, "fig13")
+	benchkit.ReportTailMetrics(b, res, "MittCFQ", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Base", "base")
 }
 
 // BenchmarkAllInOne regenerates §7.8.5 (three Mitt layers co-existing).
 func BenchmarkAllInOne(b *testing.B) {
-	res := benchExperiment(b, "allinone")
-	reportTailMetrics(b, res, "cache-user(0.2ms)/Mitt", "cache-mitt")
-	reportTailMetrics(b, res, "cache-user(0.2ms)/Base", "cache-base")
+	res := benchkit.Experiment(b, "allinone")
+	benchkit.ReportTailMetrics(b, res, "cache-user(0.2ms)/Mitt", "cache-mitt")
+	benchkit.ReportTailMetrics(b, res, "cache-user(0.2ms)/Base", "cache-base")
 }
 
 // BenchmarkWrites regenerates §7.8.6 (write latencies unaffected by noise).
 func BenchmarkWrites(b *testing.B) {
-	res := benchExperiment(b, "writes")
-	reportTailMetrics(b, res, "Base", "noisy")
-	reportTailMetrics(b, res, "NoNoise", "clean")
+	res := benchkit.Experiment(b, "writes")
+	benchkit.ReportTailMetrics(b, res, "Base", "noisy")
+	benchkit.ReportTailMetrics(b, res, "NoNoise", "clean")
 }
 
 // BenchmarkFailslow regenerates the graceful-degradation matrix (every
 // strategy through the composite fault scenario).
 func BenchmarkFailslow(b *testing.B) {
-	res := benchExperiment(b, "failslow")
-	reportTailMetrics(b, res, "MittOS", "mitt")
-	reportTailMetrics(b, res, "Base", "base")
+	res := benchkit.Experiment(b, "failslow")
+	benchkit.ReportTailMetrics(b, res, "MittOS", "mitt")
+	benchkit.ReportTailMetrics(b, res, "Base", "base")
 }
 
-// BenchmarkYCSBMix regenerates the YCSB A/B/F mixed-workload matrix (every
-// read strategy paired with its write-side mirror over quorum puts).
-func BenchmarkYCSBMix(b *testing.B) {
-	res := benchExperiment(b, "ycsbmix")
-	reportTailMetrics(b, res, "A/MittOS put", "mitt-put")
-	reportTailMetrics(b, res, "A/Base put", "base-put")
-}
+// BenchmarkYCSBMix regenerates the YCSB A/B/F mixed-workload matrix.
+func BenchmarkYCSBMix(b *testing.B) { benchkit.YCSBMix(b) }
 
-// BenchmarkLoadSweep regenerates the offered-load sweep (calibration plus
-// the full rate × strategy × path matrix of open-loop Poisson legs). The
-// custom metrics carry the headline comparison: SLO attainment at the
-// highest pre-saturation rate for MittOS vs Base on the get path.
-func BenchmarkLoadSweep(b *testing.B) {
-	res := benchExperiment(b, "loadsweep")
-	var kneeGet struct{ base, mitt float64 }
-	knee := 0.0
-	for _, p := range res.Sweep {
-		if p.Path == "get" && p.RateMult < 1.0 && p.RateMult > knee {
-			knee = p.RateMult
-		}
-	}
-	for _, p := range res.Sweep {
-		if p.Path != "get" || p.RateMult != knee {
-			continue
-		}
-		switch p.Strategy {
-		case "Base":
-			kneeGet.base = p.AttainPct
-		case "MittOS":
-			kneeGet.mitt = p.AttainPct
-		}
-	}
-	b.ReportMetric(kneeGet.mitt, "mitt-attain-%")
-	b.ReportMetric(kneeGet.base, "base-attain-%")
-}
+// BenchmarkLoadSweep regenerates the offered-load sweep.
+func BenchmarkLoadSweep(b *testing.B) { benchkit.LoadSweep(b) }
 
-// BenchmarkPutAdmission measures the accepted durable-put round trip: WAL
-// group assembly, SLO admission through MittCFQ, dispatch, completion,
-// memtable apply, and the memory-latency ack — the write-path twin of
-// BenchmarkCFQSubmitDispatch, and allocation-free in steady state.
-func BenchmarkPutAdmission(b *testing.B) {
-	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-	cfg := kv.DefaultConfig(0, 100<<30)
-	cfg.MemtableCap = 1 << 30 // isolate the WAL path: never flush
-	var ids blockio.IDGen
-	st := kv.New(eng, cfg, s.Target(), &ids)
-	done := func(error) {}
-	put := func() {
-		st.PutDurable(7, time.Second, done)
-		eng.Run()
-	}
-	for i := 0; i < 64; i++ { // warm every pool on the path
-		put()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		put()
-	}
-}
+// BenchmarkPutAdmission measures the accepted durable-put round trip.
+func BenchmarkPutAdmission(b *testing.B) { benchkit.PutAdmission(b) }
 
-// BenchmarkAdmissionDecision measures the cost of one MittOS admission
-// decision in the simulator — the analogue of the paper's <5µs syscall
-// claim (here: pure prediction cost, no kernel crossing).
-func BenchmarkAdmissionDecision(b *testing.B) {
-	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerNoop, Mitt: true, Seed: 1})
-	for i := 0; i < 16; i++ {
-		s.Read(int64(i+1)*(40<<30), 1<<20, 0, func(error) {})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.PredictWait(int64(i%900)<<30, 4096)
-	}
-}
+// BenchmarkAdmissionDecision measures one MittOS admission decision, the
+// analogue of the paper's <5µs syscall claim.
+func BenchmarkAdmissionDecision(b *testing.B) { benchkit.AdmissionDecision(b) }
 
-// BenchmarkPredictWaitCFQ measures MittCFQ's admission prediction with P
-// process nodes queued — the path the augmented service trees turned from an
-// O(P) walk into O(log P) prefix queries, so ns/op should stay nearly flat
-// as P grows.
+// BenchmarkPredictWaitCFQ measures MittCFQ's admission prediction as the
+// number of queued process nodes grows.
 func BenchmarkPredictWaitCFQ(b *testing.B) {
 	for _, procs := range []int{4, 32, 256} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			eng := NewEngine()
-			s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-			var ids blockio.IDGen
-			for p := 0; p < procs; p++ {
-				for k := 0; k < 2; k++ {
-					req := &Request{ID: ids.Next(), Op: OpRead,
-						Offset: int64(p*7+k+1) * (1 << 30), Size: 1 << 20, Proc: p + 2}
-					s.Target().SubmitSLO(req, func(error) {})
-				}
-			}
-			_ = s.PredictWait(100<<30, 4096) // warm the replay scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.PredictWait(int64(i%900)<<30, 4096)
-			}
-		})
+		b.Run(fmt.Sprintf("procs=%d", procs), benchkit.PredictWaitCFQ(procs))
 	}
 }
 
-// BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip:
-// admission, tolerable-table entry, CFQ dispatch, disk service, completion,
-// and recycling of every pooled context — the per-IO cost of the busiest
-// experiment path.
-func BenchmarkCFQSubmitDispatch(b *testing.B) {
-	eng := NewEngine()
-	s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: SchedulerCFQ, Mitt: true, Seed: 1})
-	var pool blockio.Pool
-	var ids blockio.IDGen
-	var cur *blockio.Request
-	done := func(error) { cur.Release() }
-	submit := func(off int64) {
-		cur = pool.Get()
-		cur.ID = ids.Next()
-		cur.Op = blockio.Read
-		cur.Offset, cur.Size = off, 4096
-		cur.Proc = 1
-		cur.Deadline = time.Second
-		s.Target().SubmitSLO(cur, done)
-		eng.Run()
-	}
-	for i := 0; i < 64; i++ { // warm every pool on the path
-		submit(int64(i+1) * (10 << 30))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		submit(int64(i%900) << 30)
-	}
-}
+// BenchmarkCFQSubmitDispatch measures the full MittCFQ accept round trip.
+func BenchmarkCFQSubmitDispatch(b *testing.B) { benchkit.CFQSubmitDispatch(b) }
 
-var seekCostSink time.Duration
+// BenchmarkSeekCost measures one disk-profile seek lookup.
+func BenchmarkSeekCost(b *testing.B) { benchkit.SeekCost(b) }
 
-// BenchmarkSeekCost measures one profile lookup — the innermost operation of
-// every SSTF-mirror replay step, now a direct-index table instead of a
-// division plus bucket clamp.
-func BenchmarkSeekCost(b *testing.B) {
-	prof := disk.ProfileTwin(disk.DefaultConfig(), 42, disk.DefaultProfilerOptions())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink time.Duration
-	for i := 0; i < b.N; i++ {
-		sink += prof.SeekCost(int64(i%997) << 27)
-	}
-	seekCostSink = sink
-}
+// BenchmarkEngineThroughput measures raw event-loop throughput.
+func BenchmarkEngineThroughput(b *testing.B) { benchkit.EngineThroughput(b) }
 
-// BenchmarkEngineThroughput measures raw event-loop throughput, the floor
-// under every experiment's wall-clock time. It drives the fire-and-forget
-// After path the device models use; with the engine's freelist warm,
-// steady-state scheduling is allocation-free.
-func BenchmarkEngineThroughput(b *testing.B) {
-	eng := NewEngine()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.After(time.Microsecond, tick)
-		}
-	}
-	eng.After(time.Microsecond, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Run()
-}
+// BenchmarkEngineCancelHeavy measures schedule-then-cancel churn on the
+// timing wheel; `go test -bench . ./internal/sim` runs the same workload on
+// the min-heap oracle.
+func BenchmarkEngineCancelHeavy(b *testing.B) { b.Run("wheel", benchkit.EngineCancelHeavy) }
 
-// BenchmarkEngineCancelHeavy measures hedged-style schedule-then-cancel
-// churn: 4096 request streams each re-arm a 30 ms timeout as a shared ~3 µs
-// tick visits them round-robin (each stream every ~12 ms),
-// so every timeout is cancelled long before it fires. This is the pattern
-// Hedged/Tied/AppTO strategies and MittCFQ bumped-entry cancels put on the
-// queue. The wheel sub-run uses the engine's O(1) intrusive unlink; the heap
-// sub-run drives the retained min-heap oracle, which pays tombstone
-// accumulation plus periodic compaction sweeps for the same workload.
-func BenchmarkEngineCancelHeavy(b *testing.B) {
-	const (
-		streams = 4096
-		tickGap = 3 * time.Microsecond
-		timeout = 30 * time.Millisecond
-	)
-	b.Run("wheel", func(b *testing.B) {
-		eng := sim.NewEngine()
-		nop := func() {}
-		timeouts := make([]*sim.Event, streams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % streams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(timeout, nop)
-			n++
-			if n < b.N {
-				eng.After(tickGap, tick)
-			}
-		}
-		eng.After(tickGap, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-	b.Run("heap", func(b *testing.B) {
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		timeouts := make([]*sim.HeapEvent, streams)
-		n, cur := 0, 0
-		var tick func()
-		tick = func() {
-			s := cur
-			cur = (cur + 1) % streams
-			if timeouts[s] != nil {
-				timeouts[s].Cancel()
-			}
-			timeouts[s] = eng.Schedule(timeout, nop)
-			n++
-			if n < b.N {
-				eng.After(tickGap, tick)
-			}
-		}
-		eng.After(tickGap, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-}
-
-// BenchmarkEngineMixedHorizon interleaves µs-scale device events with ms-
-// and multi-second deadlines — the shape of a real experiment leg, where
-// disk completions share the queue with SLO timeouts and probe periods. The
-// spread keeps several wheel levels occupied so cascading is exercised on
-// the wheel sub-run, while the heap sub-run pays O(log n) sifts against the
-// long-lived far-future entries.
-func BenchmarkEngineMixedHorizon(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) {
-		eng := sim.NewEngine()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
-		}
-		eng.After(2*time.Microsecond, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-	b.Run("heap", func(b *testing.B) {
-		eng := sim.NewEventHeap()
-		nop := func() {}
-		i := 0
-		var tick func()
-		tick = func() {
-			i++
-			switch {
-			case i%4096 == 0:
-				eng.After(5*time.Second, nop)
-			case i%256 == 0:
-				eng.After(300*time.Millisecond, nop)
-			case i%16 == 0:
-				eng.After(4*time.Millisecond, nop)
-			}
-			if i < b.N {
-				eng.After(2*time.Microsecond, tick)
-			}
-		}
-		eng.After(2*time.Microsecond, tick)
-		b.ReportAllocs()
-		b.ResetTimer()
-		eng.Run()
-	})
-}
+// BenchmarkEngineMixedHorizon interleaves µs device events with ms and
+// multi-second deadlines on the timing wheel; `go test -bench .
+// ./internal/sim` runs the same workload on the min-heap oracle.
+func BenchmarkEngineMixedHorizon(b *testing.B) { b.Run("wheel", benchkit.EngineMixedHorizon) }
 
 // BenchmarkMittSMR measures the §8.2 SMR extension: deadline probes under
 // write churn with band cleaning, reporting the accepted-read tail and the
@@ -480,24 +198,24 @@ func BenchmarkMittSMR(b *testing.B) {
 	var worstMs float64
 	var rejects uint64
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine()
-		cfg := DefaultSMRConfig()
+		eng := mittos.NewEngine()
+		cfg := mittos.DefaultSMRConfig()
 		cfg.CacheBytes = 128 << 20
-		mitt, drive := NewSMRStack(eng, cfg, 1)
+		mitt, drive := mittos.NewSMRStack(eng, cfg, 1)
 		_ = drive
-		wrng := NewRNG(2, "writes")
-		prng := NewRNG(3, "probes")
+		wrng := mittos.NewRNG(2, "writes")
+		prng := mittos.NewRNG(3, "probes")
 		var ids uint64
 		var worst time.Duration
 		eng.NewTicker(15*time.Millisecond, func() {
 			ids++
-			req := &Request{ID: ids, Op: OpWrite, Offset: wrng.Int63n(900<<30) &^ 4095, Size: 2 << 20}
+			req := &mittos.Request{ID: ids, Op: mittos.OpWrite, Offset: wrng.Int63n(900<<30) &^ 4095, Size: 2 << 20}
 			mitt.SubmitSLO(req, func(error) {})
 		})
 		eng.NewTicker(20*time.Millisecond, func() {
 			ids++
 			start := eng.Now()
-			req := &Request{ID: ids, Op: OpRead, Offset: prng.Int63n(900 << 30), Size: 4096,
+			req := &mittos.Request{ID: ids, Op: mittos.OpRead, Offset: prng.Int63n(900 << 30), Size: 4096,
 				Deadline: 25 * time.Millisecond}
 			mitt.SubmitSLO(req, func(err error) {
 				if err == nil {
@@ -520,17 +238,17 @@ func BenchmarkMittSMR(b *testing.B) {
 func BenchmarkMittVMM(b *testing.B) {
 	var p95ms float64
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine()
-		host := NewVMMHost(eng, DefaultVMMConfig(), []*GuestVM{
+		eng := mittos.NewEngine()
+		host := mittos.NewVMMHost(eng, mittos.DefaultVMMConfig(), []*mittos.GuestVM{
 			{ID: 0, CPUBound: true}, {ID: 1, CPUBound: true}, {ID: 2, CPUBound: true},
 		})
-		idle := NewVMMHost(eng, DefaultVMMConfig(), []*GuestVM{{ID: 0}})
+		idle := mittos.NewVMMHost(eng, mittos.DefaultVMMConfig(), []*mittos.GuestVM{{ID: 0}})
 		lat := newBenchSample()
-		rng := NewRNG(9, "vmm")
+		rng := mittos.NewRNG(9, "vmm")
 		eng.NewTicker(5*time.Millisecond, func() {
 			start := eng.Now()
 			host.Deliver(rng.Intn(3), 10*time.Millisecond, func(err error) {
-				if IsBusy(err) {
+				if mittos.IsBusy(err) {
 					idle.Deliver(0, 0, func(error) { lat.Add(eng.Now().Sub(start)) })
 					return
 				}
@@ -545,13 +263,13 @@ func BenchmarkMittVMM(b *testing.B) {
 
 // BenchmarkThroughputSLO measures the §8.1 token-bucket admission cost.
 func BenchmarkThroughputSLO(b *testing.B) {
-	eng := NewEngine()
-	stack := NewStack(eng, StackConfig{Device: DeviceDisk, Mitt: true, Seed: 1})
-	ts := NewThroughputSLO(eng, stack.Target(), DefaultOptions())
+	eng := mittos.NewEngine()
+	stack := mittos.NewStack(eng, mittos.StackConfig{Device: mittos.DeviceDisk, Mitt: true, Seed: 1})
+	ts := mittos.NewThroughputSLO(eng, stack.Target(), mittos.DefaultOptions())
 	ts.SetContract(1, 1e9, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := &Request{ID: uint64(i + 1), Op: OpRead, Offset: int64(i%1000) * (1 << 20),
+		req := &mittos.Request{ID: uint64(i + 1), Op: mittos.OpRead, Offset: int64(i%1000) * (1 << 20),
 			Size: 4096, Proc: 1}
 		ts.SubmitSLO(req, func(error) {})
 		if i%1024 == 0 {

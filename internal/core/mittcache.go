@@ -136,9 +136,6 @@ func (m *MittCache) Accuracy() Accuracy { return m.dec.acc }
 // Counts returns accepted/rejected totals.
 func (m *MittCache) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
 
-// Resident reports whether [off, off+size) is fully cached.
-func (m *MittCache) Resident(off int64, size int) bool { return m.cache.Resident(off, size) }
-
 // AddrCheck models the addrcheck(&buf, size, deadline) system call: a
 // page-table walk before dereferencing an mmap-ed pointer. It returns nil
 // when the application may proceed (data resident, or a miss it is willing

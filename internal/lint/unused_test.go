@@ -7,11 +7,11 @@ import (
 )
 
 // TestNoUnusedCode is the dead-code sweep: no package on the simulation
-// paths, nor stats, trace or nosqlsurvey, may keep an unexported
+// paths, nor stats, trace, nosqlsurvey or benchkit, may keep an unexported
 // declaration its non-test code never uses. A helper only tests need
 // belongs in a _test.go file.
 func TestNoUnusedCode(t *testing.T) {
-	dirs := append([]string{"../stats", "../trace", "../nosqlsurvey"}, simulationPaths...)
+	dirs := append([]string{"../stats", "../trace", "../nosqlsurvey", "../benchkit"}, simulationPaths...)
 	findings, err := CheckUnused(dirs)
 	if err != nil {
 		t.Fatal(err)

@@ -290,9 +290,6 @@ func (s *Set) Node(i int) *Recorder {
 	return &s.recs[i]
 }
 
-// Counter reads one counter (tests and snapshots).
-func (s *Set) Counter(r Resource, c Counter) uint64 { return s.counters[r][c] }
-
 func opIndex(op blockio.Op) int {
 	if int(op) >= numOps {
 		return numOps - 1

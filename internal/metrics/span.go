@@ -150,12 +150,5 @@ func (r *Recorder) IOEnd(req *blockio.Request, err error, busy bool) {
 	}
 }
 
-// Spans returns the traced spans in creation order.
-func (s *Set) Spans() []*Span { return s.spans }
-
 // SpansDropped reports IOs not traced because the trace cap was reached.
 func (s *Set) SpansDropped() uint64 { return s.spansDropped }
-
-// Violations returns invariant breaches detected online (empty on a
-// healthy run).
-func (s *Set) Violations() []string { return s.violations }

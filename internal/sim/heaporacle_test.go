@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"testing"
+	"time"
+)
+
 // EventHeap is the engine's former event queue — a hand-specialized binary
 // min-heap over (time, seq) with tombstone cancellation, 50%-tombstone
 // compaction, and an owned-event freelist — retained verbatim after the
@@ -9,8 +14,9 @@ package sim
 //     an EventHeap with the same byte program and demands identical fire
 //     order and Now() trajectories;
 //   - the benchmark baseline: BenchmarkEngineCancelHeavy and
-//     BenchmarkEngineMixedHorizon run the same workload on both queues so
-//     the wheel's win is measured, not asserted.
+//     BenchmarkEngineMixedHorizon below run the workloads of the wheel
+//     benchmarks in internal/benchkit on the heap, so the wheel's win is
+//     measured, not asserted.
 //
 // It is not used by Engine and has no Ticker/metrics surface; it mirrors
 // exactly the scheduling semantics the simulation depends on.
@@ -278,4 +284,69 @@ func (h *EventHeap) compact() {
 	for i := len(kept)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
+}
+
+// BenchmarkEngineCancelHeavy is benchkit.EngineCancelHeavy on the heap:
+// 4096 streams each re-arm a 30 ms timeout as a shared 3 µs tick visits them
+// round-robin, so the heap pays tombstone accumulation plus periodic
+// compaction sweeps where the wheel unlinks in O(1).
+func BenchmarkEngineCancelHeavy(b *testing.B) {
+	const (
+		streams = 4096
+		tickGap = 3 * time.Microsecond
+		timeout = 30 * time.Millisecond
+	)
+	b.Run("heap", func(b *testing.B) {
+		eng := NewEventHeap()
+		nop := func() {}
+		timeouts := make([]*HeapEvent, streams)
+		n, cur := 0, 0
+		var tick func()
+		tick = func() {
+			s := cur
+			cur = (cur + 1) % streams
+			if timeouts[s] != nil {
+				timeouts[s].Cancel()
+			}
+			timeouts[s] = eng.Schedule(timeout, nop)
+			n++
+			if n < b.N {
+				eng.After(tickGap, tick)
+			}
+		}
+		eng.After(tickGap, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run()
+	})
+}
+
+// BenchmarkEngineMixedHorizon is benchkit.EngineMixedHorizon on the heap:
+// a 2 µs device tick with 4 ms, 300 ms and 5 s deadlines mixed in, so the
+// heap pays O(log n) sifts against the long-lived far-future entries.
+func BenchmarkEngineMixedHorizon(b *testing.B) {
+	b.Run("heap", func(b *testing.B) {
+		eng := NewEventHeap()
+		nop := func() {}
+		i := 0
+		var tick func()
+		tick = func() {
+			i++
+			switch {
+			case i%4096 == 0:
+				eng.After(5*time.Second, nop)
+			case i%256 == 0:
+				eng.After(300*time.Millisecond, nop)
+			case i%16 == 0:
+				eng.After(4*time.Millisecond, nop)
+			}
+			if i < b.N {
+				eng.After(2*time.Microsecond, tick)
+			}
+		}
+		eng.After(2*time.Microsecond, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		eng.Run()
+	})
 }

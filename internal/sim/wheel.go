@@ -4,7 +4,7 @@ import "math/bits"
 
 // The engine's event queue is a hierarchical timing wheel (Varghese &
 // Lauck), replacing the earlier hand-specialized binary min-heap (retained
-// in heaporacle.go as the differential-testing oracle and benchmark
+// in heaporacle_test.go as the differential-testing oracle and benchmark
 // baseline).
 //
 // Layout: wheelLevels levels of wheelSlots slots each. A slot at level k

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -210,7 +211,7 @@ func (s *Sample) Min() time.Duration {
 
 func (s *Sample) sort() {
 	if !s.sorted {
-		sort.Slice(s.vals, func(i, j int) bool { return s.vals[i] < s.vals[j] })
+		slices.Sort(s.vals)
 		s.sorted = true
 	}
 }
