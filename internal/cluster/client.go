@@ -144,8 +144,8 @@ type Client struct {
 	// CO-free start time every request's latency is measured from.
 	nextAt sim.Time
 
-	tickFn   func()     // pre-bound issue timer
-	userFree []*userReq // pooled per-user-request contexts
+	tickFn func()                // pre-bound issue timer
+	users  sim.Freelist[userReq] // pooled per-user-request contexts
 }
 
 // userReq is one in-flight user request: the scale-factor fan-out shares a
@@ -160,6 +160,12 @@ type userReq struct {
 	fn        func(GetResult) // pre-bound u.done
 	putFn     func(PutResult) // pre-bound u.putDone
 	rmwFn     func(GetResult) // pre-bound u.rmwGet: get leg of a workload-F op
+}
+
+func (u *userReq) Bind() {
+	u.fn = u.done
+	u.putFn = u.putDone
+	u.rmwFn = u.rmwGet
 }
 
 func (u *userReq) done(res GetResult) {
@@ -228,7 +234,7 @@ func (u *userReq) finish() {
 		}
 	}
 	cl.cfg.Inflight.dec()
-	cl.userFree = append(cl.userFree, u)
+	cl.users.Release(u)
 	if cl.cfg.Closed {
 		cl.scheduleNext()
 	}
@@ -367,16 +373,8 @@ func (cl *Client) tick() {
 
 func (cl *Client) issueOne() {
 	cl.issued++
-	var u *userReq
-	if n := len(cl.userFree); n > 0 {
-		u = cl.userFree[n-1]
-		cl.userFree = cl.userFree[:n-1]
-	} else {
-		u = &userReq{cl: cl}
-		u.fn = u.done
-		u.putFn = u.putDone
-		u.rmwFn = u.rmwGet
-	}
+	u := sim.Acquire(&cl.users)
+	u.cl = cl
 	// The latency clock starts at the *intended* arrival tick, not the
 	// moment the loop got around to issuing — the coordinated-omission-free
 	// convention. The engine fires ticks exactly when scheduled, so the two

@@ -101,17 +101,17 @@ type NodeConfig struct {
 // concurrently — and an experiment arena can carry a warm bundle across
 // legs instead of re-growing every pool from zero.
 type Pools struct {
-	serves  freelist[serveCtx]
-	handles freelist[ServeHandle]
-	calls   freelist[callCtx]
+	serves  sim.Freelist[serveCtx]
+	handles sim.Freelist[ServeHandle]
+	calls   sim.Freelist[callCtx]
 	// Client-side strategy op contexts. These live here rather than on the
 	// strategy structs because experiments build a fresh strategy per leg:
 	// pooling per strategy would start every leg cold AND lose any op a
 	// wedged IO stranded past the leg's drain window.
-	getOps    freelist[getOp]
-	getCopies freelist[getCopy]
-	putOps    freelist[putOp]
-	putCopies freelist[putCopy]
+	getOps    sim.Freelist[getOp]
+	getCopies sim.Freelist[getCopy]
+	putOps    sim.Freelist[putOp]
+	putCopies sim.Freelist[putCopy]
 	// Reqs is the shared block-IO request pool; nodes point their KV
 	// stores and page caches at it. (Requests recycle into the pool that
 	// created them, so the bundle must outlive every fleet using it.)
@@ -119,42 +119,6 @@ type Pools struct {
 	// Pages is the shared page-cache slab; cached nodes draw their
 	// resident-set page structs from it.
 	Pages oscache.PageSlab
-}
-
-// freelist is the pool behind every pooled per-op context: acquire pops a
-// recycled object or allocates one, release pushes it back once its last
-// callback has fired. out counts objects handed out and not yet returned,
-// so a drained fleet can be checked for leaks.
-type freelist[T any] struct {
-	free []*T
-	out  int
-}
-
-// binder is a pooled context that binds its callback fields once, at
-// allocation, so reusing it costs no closure allocations.
-type binder[T any] interface {
-	*T
-	bind()
-}
-
-// acquire pops a pooled context, or allocates and binds a fresh one. The
-// caller rebinds the owner.
-func acquire[T any, P binder[T]](f *freelist[T]) P {
-	f.out++
-	if n := len(f.free); n > 0 {
-		x := f.free[n-1]
-		f.free = f.free[:n-1]
-		return P(x)
-	}
-	x := P(new(T))
-	x.bind()
-	return x
-}
-
-// release returns a context to its pool; it must not be touched after.
-func (f *freelist[T]) release(x *T) {
-	f.out--
-	f.free = append(f.free, x)
 }
 
 // TargetDevice adapts a core.Target to blockio.Device, so components that
@@ -166,7 +130,7 @@ type TargetDevice struct {
 	T        core.Target
 	Rec      *metrics.Recorder // span boundary for IOs entering here (nil ok)
 	inflight int
-	ops      freelist[tdOp]
+	ops      sim.Freelist[tdOp]
 }
 
 // tdOp is the pooled per-IO completion context for the block-layer
@@ -178,12 +142,12 @@ type tdOp struct {
 	fn  func(error) // pre-bound op.done
 }
 
-func (op *tdOp) bind() { op.fn = op.done }
+func (op *tdOp) Bind() { op.fn = op.done }
 
 func (op *tdOp) done(err error) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.ops.release(op)
+	d.ops.Release(op)
 	if d.Rec != nil {
 		d.Rec.IOEnd(req, err, core.IsBusy(err))
 	}
@@ -199,7 +163,7 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 	if d.Rec != nil {
 		d.Rec.IOBegin(req)
 	}
-	op := acquire(&d.ops)
+	op := sim.Acquire(&d.ops)
 	op.d, op.req = d, req
 	d.T.SubmitSLO(req, op.fn)
 }
@@ -211,7 +175,7 @@ func (d *TargetDevice) Submit(req *blockio.Request) {
 type tracedTarget struct {
 	rec *metrics.Recorder
 	t   core.Target
-	ops freelist[ttOp]
+	ops sim.Freelist[ttOp]
 }
 
 // ttOp is the traced boundary's pooled per-IO context.
@@ -222,12 +186,12 @@ type ttOp struct {
 	fn     func(error) // pre-bound op.done
 }
 
-func (op *ttOp) bind() { op.fn = op.done }
+func (op *ttOp) Bind() { op.fn = op.done }
 
 func (op *ttOp) done(err error) {
 	t, req, onDone := op.t, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	t.ops.release(op)
+	t.ops.Release(op)
 	t.rec.IOEnd(req, err, core.IsBusy(err))
 	onDone(err)
 }
@@ -235,7 +199,7 @@ func (op *ttOp) done(err error) {
 // SubmitSLO implements core.Target.
 func (t *tracedTarget) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	t.rec.IOBegin(req)
-	op := acquire(&t.ops)
+	op := sim.Acquire(&t.ops)
 	op.t, op.req, op.onDone = t, req, onDone
 	t.t.SubmitSLO(req, op.fn)
 }
@@ -545,13 +509,14 @@ func (h *ServeHandle) deref() {
 	}
 	n := h.n
 	h.req, h.canceled, h.gen = nil, false, 0
-	n.pools.handles.release(h)
+	n.pools.handles.Release(h)
 }
 
-func (h *ServeHandle) bind() {}
+// Bind implements sim.Binder; a handle has no callbacks to bind.
+func (h *ServeHandle) Bind() {}
 
 func (n *Node) getHandle() *ServeHandle {
-	h := acquire(&n.pools.handles)
+	h := sim.Acquire(&n.pools.handles)
 	h.n = n // pooled across the fleet: rebind the owner
 	h.refs = 2
 	return h
@@ -600,7 +565,7 @@ type serveCtx struct {
 	dropFn func(*blockio.Request) // pre-bound ctx.drop: revocation terminal
 }
 
-func (ctx *serveCtx) bind() {
+func (ctx *serveCtx) Bind() {
 	ctx.workFn = ctx.work
 	ctx.kvFn = ctx.kv
 	ctx.respFn = ctx.resp
@@ -613,7 +578,7 @@ func (n *Node) freeServe(ctx *serveCtx) {
 	n.unlink(&ctx.live)
 	ctx.aborted = false
 	ctx.onDone, ctx.h, ctx.req, ctx.err = nil, nil, nil, nil
-	n.pools.serves.release(ctx)
+	n.pools.serves.Release(ctx)
 }
 
 // abort is Crash's per-request teardown: the caller hears ErrNodeDown now
@@ -774,13 +739,6 @@ func (n *Node) ServePutSLO(key int64, deadline time.Duration, onDone func(error)
 	n.serve(opPutSLO, key, deadline, onDone, nil)
 }
 
-// ServePutDurable executes a put acked only at WAL durability — the quorum
-// replication path. Deadline 0 means durable-but-no-SLO (never rejected);
-// a positive deadline adds the WAL admission fast reject on top.
-func (n *Node) ServePutDurable(key int64, deadline time.Duration, onDone func(error)) {
-	n.serve(opPutDurable, key, deadline, onDone, nil)
-}
-
 func (n *Node) serve(op serveOp, key int64, deadline time.Duration, onDone func(error), h *ServeHandle) {
 	if n.down {
 		n.refused++
@@ -791,7 +749,7 @@ func (n *Node) serve(op serveOp, key int64, deadline time.Duration, onDone func(
 		return
 	}
 	n.served++
-	ctx := acquire(&n.pools.serves)
+	ctx := sim.Acquire(&n.pools.serves)
 	ctx.n = n // pooled across the fleet: rebind the owner
 	ctx.op, ctx.key, ctx.deadline, ctx.onDone, ctx.h = op, key, deadline, onDone, h
 	n.link(&ctx.live)
@@ -836,7 +794,7 @@ type callCtx struct {
 	replyFn func()      // pre-bound (*callCtx).reply
 }
 
-func (ctx *callCtx) bind() {
+func (ctx *callCtx) Bind() {
 	ctx.sendFn = ctx.send
 	ctx.serveFn = ctx.serve
 	ctx.replyFn = ctx.reply
@@ -848,7 +806,7 @@ func (ctx *callCtx) send() {
 
 func (ctx *callCtx) serve(err error) {
 	if ctx.onDone == nil { // one-way: nobody waits for the ack
-		ctx.c.pools.calls.release(ctx)
+		ctx.c.pools.calls.Release(ctx)
 		return
 	}
 	ctx.err = err
@@ -866,12 +824,12 @@ func (ctx *callCtx) serve(err error) {
 func (ctx *callCtx) reply() {
 	c, onDone, err := ctx.c, ctx.onDone, ctx.err
 	ctx.onDone, ctx.err = nil, nil
-	c.pools.calls.release(ctx)
+	c.pools.calls.Release(ctx)
 	onDone(err)
 }
 
 func (c *Cluster) call(op serveOp, node int, key int64, deadline time.Duration, onDone func(error)) {
-	ctx := acquire(&c.pools.calls)
+	ctx := sim.Acquire(&c.pools.calls)
 	ctx.c = c // pooled across fleets: rebind the owner
 	ctx.op, ctx.node, ctx.key, ctx.deadline, ctx.onDone = op, node, key, deadline, onDone
 	c.Net.Send(ctx.sendFn)
@@ -953,7 +911,7 @@ type CPUPool struct {
 	busy  int
 	queue []cpuTask
 	head  int
-	runs  freelist[cpuRun]
+	runs  sim.Freelist[cpuRun]
 }
 
 type cpuTask struct {
@@ -969,12 +927,12 @@ type cpuRun struct {
 	stepFn func() // pre-bound r.step
 }
 
-func (r *cpuRun) bind() { r.stepFn = r.step }
+func (r *cpuRun) Bind() { r.stepFn = r.step }
 
 func (r *cpuRun) step() {
 	p, fn := r.p, r.fn
 	r.fn = nil
-	p.runs.release(r)
+	p.runs.Release(r)
 	p.busy--
 	fn()
 	p.kick()
@@ -1018,7 +976,7 @@ func (p *CPUPool) kick() {
 			p.head = 0
 		}
 		p.busy++
-		r := acquire(&p.runs)
+		r := sim.Acquire(&p.runs)
 		r.p, r.fn = p, t.fn
 		p.eng.After(t.d, r.stepFn)
 	}

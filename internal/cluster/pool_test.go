@@ -113,18 +113,26 @@ func TestTiedRevokeThenComplete(t *testing.T) {
 }
 
 // checkDrained asserts a freelist got back everything it handed out, each
-// object exactly once, and was used at all.
-func checkDrained[T any](t *testing.T, leg, name string, f *freelist[T]) {
+// object exactly once. It acquires every parked object back to compare
+// their pointers, then releases them in reverse so the pool's LIFO order
+// is what it was.
+func checkDrained[T any, P sim.Binder[T]](t *testing.T, leg, name string, f *sim.Freelist[T]) {
 	t.Helper()
-	if f.out != 0 {
-		t.Errorf("%s: %s has %d objects outstanding after the drain", leg, name, f.out)
+	if n := f.Out(); n != 0 {
+		t.Errorf("%s: %s has %d objects outstanding after the drain", leg, name, n)
 	}
-	seen := make(map[*T]bool, len(f.free))
-	for _, x := range f.free {
+	parked := make([]*T, f.Len())
+	seen := make(map[*T]bool, len(parked))
+	for i := range parked {
+		x := (*T)(sim.Acquire[T, P](f))
 		if seen[x] {
 			t.Errorf("%s: %s holds %p twice (double release)", leg, name, x)
 		}
 		seen[x] = true
+		parked[i] = x
+	}
+	for i := len(parked) - 1; i >= 0; i-- {
+		f.Release(parked[i])
 	}
 }
 
@@ -150,7 +158,7 @@ func TestClientOpsReturnToPools(t *testing.T) {
 	lists := 0
 	pt := reflect.TypeOf(Pools{})
 	for i := 0; i < pt.NumField(); i++ {
-		if strings.HasPrefix(pt.Field(i).Type.Name(), "freelist[") {
+		if strings.HasPrefix(pt.Field(i).Type.Name(), "Freelist[") {
 			lists++
 		}
 	}
@@ -252,10 +260,10 @@ func TestClientOpsReturnToPools(t *testing.T) {
 		checkConserved(t, s.Counters())
 	}
 	for name, n := range map[string]int{
-		"serves": len(pools.serves.free), "handles": len(pools.handles.free),
-		"calls": len(pools.calls.free), "getOps": len(pools.getOps.free),
-		"getCopies": len(pools.getCopies.free), "putOps": len(pools.putOps.free),
-		"putCopies": len(pools.putCopies.free),
+		"serves": pools.serves.Len(), "handles": pools.handles.Len(),
+		"calls": pools.calls.Len(), "getOps": pools.getOps.Len(),
+		"getCopies": pools.getCopies.Len(), "putOps": pools.putOps.Len(),
+		"putCopies": pools.putCopies.Len(),
 	} {
 		if n == 0 {
 			t.Errorf("%s was never used; the legs do not cover it", name)

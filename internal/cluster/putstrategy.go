@@ -185,13 +185,13 @@ type putCopy struct {
 	fn    func(error) // pre-bound cp.reply
 }
 
-func (op *putOp) bind()   { op.timerFn = op.timerFire }
-func (cp *putCopy) bind() { cp.fn = cp.reply }
+func (op *putOp) Bind()   { op.timerFn = op.timerFire }
+func (cp *putCopy) Bind() { cp.fn = cp.reply }
 
 // newPut starts one put on the kernel; the strategy then arms its timer,
 // if it has one, and sends the base copies.
 func (c *Cluster) newPut(pol putPolicy, w int, key int64, onDone func(PutResult)) *putOp {
-	op := acquire(&c.pools.putOps)
+	op := sim.Acquire(&c.pools.putOps)
 	op.c, op.pol, op.pc = c, pol, pol.Counters() // pooled across fleets: rebind the owner
 	op.pc.Puts++
 	op.key, op.start, op.onDone = key, c.Eng.Now(), onDone
@@ -219,7 +219,7 @@ func (op *putOp) send(node int, deadline time.Duration, extra bool) {
 	op.q.add(1)
 	op.refs++
 	op.pc.CopiesSent++
-	cp := acquire(&op.c.pools.putCopies)
+	cp := sim.Acquire(&op.c.pools.putCopies)
 	cp.op, cp.node, cp.extra = op, node, extra
 	op.c.PutDurableCall(node, op.key, deadline, cp.fn)
 }
@@ -245,7 +245,7 @@ func (op *putOp) deref() {
 		return
 	}
 	op.onDone = nil
-	op.c.pools.putOps.release(op)
+	op.c.pools.putOps.Release(op)
 }
 
 func (op *putOp) terminal(err error) {
@@ -262,7 +262,7 @@ func (op *putOp) terminal(err error) {
 func (cp *putCopy) reply(err error) {
 	op, node, extra := cp.op, cp.node, cp.extra
 	cp.op = nil
-	op.c.pools.putCopies.release(cp)
+	op.c.pools.putCopies.Release(cp)
 	op.pc.count(err)
 	switch op.q.report(err) {
 	case quorumReached:

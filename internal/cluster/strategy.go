@@ -117,12 +117,12 @@ type getCopy struct {
 	replyFn func()      // pre-bound cp.reply: reply hop
 }
 
-func (op *getOp) bind() {
+func (op *getOp) Bind() {
 	op.timerFn = op.timerFire
 	op.revokeFn = op.revokeHop
 }
 
-func (cp *getCopy) bind() {
+func (cp *getCopy) Bind() {
 	cp.sendFn = cp.send
 	cp.serveFn = cp.serve
 	cp.replyFn = cp.reply
@@ -131,7 +131,7 @@ func (cp *getCopy) bind() {
 // newGet starts one get on the kernel; the strategy then sends its first
 // copies and arms its timer, if it has one.
 func (c *Cluster) newGet(pol getPolicy, key int64, onDone func(GetResult), wasted *uint64) *getOp {
-	op := acquire(&c.pools.getOps)
+	op := sim.Acquire(&c.pools.getOps)
 	op.begin(c, key, onDone)
 	op.pol, op.wasted, op.cancelled = pol, wasted, nil
 	op.sent, op.pending, op.fired, op.floor = 0, 0, 0, 0
@@ -151,7 +151,7 @@ func (op *getOp) sendRevocable(node, slot int) { op.launch(node, 0, slot) }
 func (op *getOp) launch(node int, deadline time.Duration, slot int) {
 	op.sent++
 	op.refs++
-	cp := acquire(&op.c.pools.getCopies)
+	cp := sim.Acquire(&op.c.pools.getCopies)
 	cp.op, cp.node, cp.deadline, cp.seq, cp.slot = op, node, deadline, op.sent, slot
 	op.c.Net.Send(cp.sendFn)
 }
@@ -211,12 +211,12 @@ func (op *getOp) deref() {
 	op.release(0, false)
 	op.release(1, false)
 	op.won, op.onDone, op.err = false, nil, nil
-	op.c.pools.getOps.release(op)
+	op.c.pools.getOps.Release(op)
 }
 
 func (op *getOp) freeCopy(cp *getCopy) {
 	cp.op, cp.err = nil, nil
-	op.c.pools.getCopies.release(cp)
+	op.c.pools.getCopies.Release(cp)
 }
 
 // send is the request hop landing at the replica.

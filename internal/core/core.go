@@ -240,7 +240,7 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 // callback) so a rejection allocates only its BusyError, which escapes to
 // the caller and cannot be pooled.
 type busyReplies struct {
-	free []*busyReply
+	pool sim.Freelist[busyReply]
 }
 
 type busyReply struct {
@@ -250,24 +250,19 @@ type busyReply struct {
 	fn     func() // pre-bound r.fire
 }
 
+func (r *busyReply) Bind() { r.fn = r.fire }
+
 func (r *busyReply) fire() {
 	c, onDone, err := r.c, r.onDone, r.err
 	r.onDone, r.err = nil, nil
-	c.free = append(c.free, r)
+	c.pool.Release(r)
 	onDone(err)
 }
 
 // deliver schedules onDone(err) after the syscall round trip.
 func (c *busyReplies) deliver(eng *sim.Engine, d time.Duration, onDone func(error), err error) {
-	var r *busyReply
-	if n := len(c.free); n > 0 {
-		r = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		r = &busyReply{c: c}
-		r.fn = r.fire
-	}
-	r.onDone, r.err = onDone, err
+	r := sim.Acquire(&c.pool)
+	r.c, r.onDone, r.err = c, onDone, err
 	eng.After(d, r.fn)
 }
 
@@ -277,7 +272,7 @@ func (c *busyReplies) deliver(eng *sim.Engine, d time.Duration, onDone func(erro
 type Vanilla struct {
 	Dev blockio.Device
 
-	opFree []*vanillaOp
+	ops sim.Freelist[vanillaOp]
 }
 
 // vanillaOp is the pooled completion wrapper: bound once, reused per IO.
@@ -288,10 +283,12 @@ type vanillaOp struct {
 	fn     func(*blockio.Request) // pre-bound op.done
 }
 
+func (op *vanillaOp) Bind() { op.fn = op.done }
+
 func (op *vanillaOp) done(r *blockio.Request) {
 	v, prev, onDone := op.v, op.prev, op.onDone
 	op.prev, op.onDone = nil, nil
-	v.opFree = append(v.opFree, op)
+	v.ops.Release(op)
 	err := r.Err // read before prev: the previous hook may recycle r
 	if prev != nil {
 		prev(r)
@@ -301,15 +298,8 @@ func (op *vanillaOp) done(r *blockio.Request) {
 
 // SubmitSLO implements Target.
 func (v *Vanilla) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	var op *vanillaOp
-	if n := len(v.opFree); n > 0 {
-		op = v.opFree[n-1]
-		v.opFree = v.opFree[:n-1]
-	} else {
-		op = &vanillaOp{v: v}
-		op.fn = op.done
-	}
-	op.prev, op.onDone = req.OnComplete, onDone
+	op := sim.Acquire(&v.ops)
+	op.v, op.prev, op.onDone = v, req.OnComplete, onDone
 	req.OnComplete = op.fn
 	v.Dev.Submit(req)
 }

@@ -27,8 +27,8 @@ type sstfMirror struct {
 	headPos   int64
 	driftBias time.Duration
 
-	entryFree []*mirrorEntry // recycled entries
-	scratch   []*mirrorEntry // replay working set, reused across calls
+	entries sim.Freelist[mirrorEntry] // recycled entries
+	scratch []*mirrorEntry            // replay working set, reused across calls
 }
 
 // DriftBias exposes the calibration residual. A persistently large value
@@ -44,6 +44,8 @@ type mirrorEntry struct {
 	sz  int
 	at  sim.Time // when the device saw it (for command-aging modeling)
 }
+
+func (e *mirrorEntry) Bind() {}
 
 func newSSTFMirror(eng *sim.Engine, prof *disk.Profile, calibrate bool) *sstfMirror {
 	return &sstfMirror{eng: eng, prof: prof, calibrate: calibrate}
@@ -64,13 +66,7 @@ func (m *sstfMirror) svcTime(from, off int64, sz int) time.Duration {
 
 // add registers a newly submitted IO.
 func (m *sstfMirror) add(req *blockio.Request) {
-	var e *mirrorEntry
-	if n := len(m.entryFree); n > 0 {
-		e = m.entryFree[n-1]
-		m.entryFree = m.entryFree[:n-1]
-	} else {
-		e = &mirrorEntry{}
-	}
+	e := sim.Acquire(&m.entries)
 	e.req, e.off, e.end, e.sz, e.at = req, req.Offset, req.End(), req.Size, m.eng.Now()
 	m.pending = append(m.pending, e)
 	if m.inService == nil {
@@ -89,7 +85,7 @@ func (m *sstfMirror) complete(req *blockio.Request) {
 		if p.req == req {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			p.req = nil
-			m.entryFree = append(m.entryFree, p)
+			m.entries.Release(p)
 			break
 		}
 	}

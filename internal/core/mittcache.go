@@ -36,9 +36,9 @@ type MittCache struct {
 	accepted uint64
 	rejected uint64
 
-	replies  busyReplies
-	hitFree  []*cacheHitOp
-	missFree []*cacheMissOp
+	replies busyReplies
+	hits    sim.Freelist[cacheHitOp]
+	misses  sim.Freelist[cacheMissOp]
 
 	rec *metrics.Recorder
 }
@@ -52,10 +52,12 @@ type cacheHitOp struct {
 	fn     func(*blockio.Request) // pre-bound op.done
 }
 
+func (op *cacheHitOp) Bind() { op.fn = op.done }
+
 func (op *cacheHitOp) done(r *blockio.Request) {
 	m, prev, onDone := op.m, op.prev, op.onDone
 	op.prev, op.onDone = nil, nil
-	m.hitFree = append(m.hitFree, op)
+	m.hits.Release(op)
 	if prev != nil {
 		prev(r)
 	}
@@ -64,15 +66,8 @@ func (op *cacheHitOp) done(r *blockio.Request) {
 
 // wrapHit chains the pooled completion wrapper onto req.
 func (m *MittCache) wrapHit(req *blockio.Request, onDone func(error)) {
-	var op *cacheHitOp
-	if n := len(m.hitFree); n > 0 {
-		op = m.hitFree[n-1]
-		m.hitFree = m.hitFree[:n-1]
-	} else {
-		op = &cacheHitOp{m: m}
-		op.fn = op.done
-	}
-	op.prev, op.onDone = req.OnComplete, onDone
+	op := sim.Acquire(&m.hits)
+	op.m, op.prev, op.onDone = m, req.OnComplete, onDone
 	req.OnComplete = op.fn
 }
 
@@ -98,10 +93,12 @@ type cacheMissOp struct {
 	fn     func(error) // pre-bound op.done
 }
 
+func (op *cacheMissOp) Bind() { op.fn = op.done }
+
 func (op *cacheMissOp) done(err error) {
 	m, req, onDone := op.m, op.req, op.onDone
 	op.req, op.onDone = nil, nil
-	m.missFree = append(m.missFree, op)
+	m.misses.Release(op)
 	if err == nil {
 		m.cache.Warm(req.Offset, req.Size)
 	}
@@ -196,14 +193,7 @@ func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	// pages and populating the cache on success.
 	m.accepted++
 	m.rec.Incr(metrics.RMittCache, metrics.CAccepted)
-	var op *cacheMissOp
-	if n := len(m.missFree); n > 0 {
-		op = m.missFree[n-1]
-		m.missFree = m.missFree[:n-1]
-	} else {
-		op = &cacheMissOp{m: m}
-		op.fn = op.done
-	}
-	op.req, op.onDone = req, onDone
+	op := sim.Acquire(&m.misses)
+	op.m, op.req, op.onDone = m, req, onDone
 	m.lower.SubmitSLO(req, op.fn)
 }

@@ -55,9 +55,9 @@ type MittCFQ struct {
 	rejected  uint64 // at admission
 	cancelled uint64 // late EBUSY via the tolerable-time table
 
-	replies  busyReplies
-	opFree   []*cfqOp
-	dispFree []*cfqDispatch
+	replies busyReplies
+	ops     sim.Freelist[cfqOp]
+	disps   sim.Freelist[cfqDispatch]
 
 	rec *metrics.Recorder
 }
@@ -78,11 +78,13 @@ type cfqOp struct {
 	fn      func(*blockio.Request) // pre-bound op.done
 }
 
+func (op *cfqOp) Bind() { op.fn = op.done }
+
 func (op *cfqOp) done(r *blockio.Request) {
 	m, entry, prev, onDone := op.m, op.entry, op.prev, op.onDone
 	hasSLO, rawBusy, wait, svc := op.hasSLO, op.rawBusy, op.wait, op.svc
 	op.entry, op.prev, op.onDone = nil, nil, nil
-	m.opFree = append(m.opFree, op)
+	m.ops.Release(op)
 	if entry != nil {
 		if entry.done {
 			// Cancelled late; EBUSY already delivered. (The scheduler drops
@@ -119,10 +121,12 @@ type cfqDispatch struct {
 	fn   func(*blockio.Request) // pre-bound d.done
 }
 
+func (d *cfqDispatch) Bind() { d.fn = d.done }
+
 func (d *cfqDispatch) done(r *blockio.Request) {
 	m, prev := d.m, d.prev
 	d.prev = nil
-	m.dispFree = append(m.dispFree, d)
+	m.disps.Release(d)
 	m.mirror.complete(r)
 	if prev != nil {
 		prev(r)
@@ -230,15 +234,8 @@ func (m *MittCFQ) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	m.rec.Admitted(metrics.RMittCFQ, req)
 	m.sched.AddProcCharge(req.Proc, svc)
 
-	var op *cfqOp
-	if n := len(m.opFree); n > 0 {
-		op = m.opFree[n-1]
-		m.opFree = m.opFree[:n-1]
-	} else {
-		op = &cfqOp{m: m}
-		op.fn = op.done
-	}
-	op.hasSLO, op.rawBusy, op.wait, op.svc = hasSLO, rawBusy, wait, svc
+	op := sim.Acquire(&m.ops)
+	op.m, op.hasSLO, op.rawBusy, op.wait, op.svc = m, hasSLO, rawBusy, wait, svc
 	op.prev, op.onDone = req.OnComplete, onDone
 
 	var entry *cfqEntry
@@ -275,15 +272,8 @@ func (m *MittCFQ) onDispatch(req *blockio.Request) {
 		}
 	}
 	m.mirror.add(req)
-	var d *cfqDispatch
-	if n := len(m.dispFree); n > 0 {
-		d = m.dispFree[n-1]
-		m.dispFree = m.dispFree[:n-1]
-	} else {
-		d = &cfqDispatch{m: m}
-		d.fn = d.done
-	}
-	d.prev = req.OnComplete
+	d := sim.Acquire(&m.disps)
+	d.m, d.prev = m, req.OnComplete
 	req.OnComplete = d.fn
 }
 
@@ -300,7 +290,7 @@ func (m *MittCFQ) onDrop(req *blockio.Request) {
 			m.putEntry(e)
 		}
 		op.entry, op.prev, op.onDone = nil, nil, nil
-		m.opFree = append(m.opFree, op)
+		m.ops.Release(op)
 	}
 }
 
@@ -491,7 +481,7 @@ func (m *MittCFQ) cancel(e *cfqEntry) {
 		req.OnComplete = op.prev
 		req.SchedPriv = nil
 		op.entry, op.prev, op.onDone = nil, nil, nil
-		m.opFree = append(m.opFree, op)
+		m.ops.Release(op)
 	}
 	m.putEntry(e)
 }

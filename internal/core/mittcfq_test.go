@@ -228,3 +228,88 @@ func TestBucketOf(t *testing.T) {
 		}
 	}
 }
+
+// checkPoolDrained asserts a freelist got back everything it handed out,
+// each object exactly once: it acquires every parked object back to compare
+// pointers, then releases them in reverse to restore the LIFO order.
+func checkPoolDrained[T any, P sim.Binder[T]](t *testing.T, name string, f *sim.Freelist[T]) {
+	t.Helper()
+	if n := f.Out(); n != 0 {
+		t.Errorf("%s has %d objects outstanding after the drain", name, n)
+	}
+	parked := make([]*T, f.Len())
+	seen := make(map[*T]bool, len(parked))
+	for i := range parked {
+		x := (*T)(sim.Acquire[T, P](f))
+		if seen[x] {
+			t.Errorf("%s holds %p twice (double release)", name, x)
+		}
+		seen[x] = true
+		parked[i] = x
+	}
+	for i := len(parked) - 1; i >= 0; i-- {
+		f.Release(parked[i])
+	}
+}
+
+// TestMittCFQPoolsDrainAcrossTerminals drives one MittCFQ through all four
+// ways an IO leaves it — completion, fast reject, late cancel, and a
+// revoked IO the scheduler drops before dispatch — and checks that the op
+// and dispatch pools get every context back exactly once.
+func TestMittCFQPoolsDrainAcrossTerminals(t *testing.T) {
+	r := newCFQRig(t, DefaultOptions())
+	noise := func(n, prio int, stride int64) {
+		for i := 0; i < n; i++ {
+			r.submit(9, blockio.ClassBestEffort, prio, int64(i+1)*stride, 0, func(error) {})
+		}
+	}
+
+	// Completion.
+	var err error = blockio.ErrBusy
+	r.submit(1, blockio.ClassBestEffort, 4, 100<<30, 20*time.Millisecond, func(e error) { err = e })
+	r.eng.Run()
+	if err != nil {
+		t.Fatalf("idle IO: %v, want completion", err)
+	}
+
+	// Late cancel: the §4.2 bump-back of TestMittCFQLateCancellation.
+	noise(5, 5, 100<<30)
+	err = nil
+	r.submit(1, blockio.ClassBestEffort, 4, 500<<30, 48*time.Millisecond, func(e error) { err = e })
+	for i := 0; i < 12; i++ {
+		r.submit(2, blockio.ClassRealTime, 0, int64(i+1)*(60<<30), 0, func(error) {})
+	}
+	r.eng.Run()
+	if _, _, cancelled := r.mitt.Counts(); cancelled == 0 || !IsBusy(err) {
+		t.Fatalf("late cancel: cancelled = %d, victim got %v", cancelled, err)
+	}
+
+	// Fast reject.
+	noise(20, 4, 40<<30)
+	err = nil
+	r.submit(1, blockio.ClassBestEffort, 4, 500<<30, 10*time.Millisecond, func(e error) { err = e })
+	r.eng.Run()
+	if _, rejected, _ := r.mitt.Counts(); rejected != 1 || !IsBusy(err) {
+		t.Fatalf("fast reject: rejected = %d, got %v", rejected, err)
+	}
+
+	// Revoked: accepted with a table entry, then cancelled by its owner
+	// while still queued, so CFQ drops it and its callback never runs.
+	noise(5, 4, 100<<30)
+	served := r.disk.Served()
+	revoked := r.submit(1, blockio.ClassBestEffort, 4, 500<<30, 10*time.Second, func(error) {
+		t.Error("revoked IO's callback ran")
+	})
+	revoked.Cancel()
+	r.eng.Run()
+	if got := r.disk.Served() - served; got != 5 {
+		t.Fatalf("revoked phase: disk served %d IOs, want 5 (revoked IO dropped)", got)
+	}
+
+	checkPoolDrained(t, "ops", &r.mitt.ops)
+	checkPoolDrained(t, "disps", &r.mitt.disps)
+	checkPoolDrained(t, "replies", &r.mitt.replies.pool)
+	if r.mitt.ops.Len() == 0 || r.mitt.disps.Len() == 0 {
+		t.Fatalf("pools never used: ops %d, disps %d parked", r.mitt.ops.Len(), r.mitt.disps.Len())
+	}
+}

@@ -40,7 +40,7 @@ type MittNoop struct {
 	rejected uint64
 
 	replies busyReplies
-	opFree  []*noopOp
+	ops     sim.Freelist[noopOp]
 
 	rec *metrics.Recorder
 }
@@ -59,12 +59,14 @@ type noopOp struct {
 	fn             func(*blockio.Request) // pre-bound op.done
 }
 
+func (op *noopOp) Bind() { op.fn = op.done }
+
 func (op *noopOp) done(r *blockio.Request) {
 	m, prev, onDone := op.m, op.prev, op.onDone
 	predCompletion, hasSLO, rawBusy := op.predCompletion, op.hasSLO, op.rawBusy
 	wait, svc := op.wait, op.svc
 	op.prev, op.onDone = nil, nil
-	m.opFree = append(m.opFree, op)
+	m.ops.Release(op)
 	if m.opt.Naive {
 		if m.opt.Calibrate {
 			// Tdiff calibration (§4.1): shift TnextFree by the
@@ -227,15 +229,8 @@ func (m *MittNoop) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		m.mirror.add(req)
 	}
 
-	var op *noopOp
-	if n := len(m.opFree); n > 0 {
-		op = m.opFree[n-1]
-		m.opFree = m.opFree[:n-1]
-	} else {
-		op = &noopOp{m: m}
-		op.fn = op.done
-	}
-	op.predCompletion, op.hasSLO, op.rawBusy = predCompletion, hasSLO, rawBusy
+	op := sim.Acquire(&m.ops)
+	op.m, op.predCompletion, op.hasSLO, op.rawBusy = m, predCompletion, hasSLO, rawBusy
 	op.wait, op.svc = wait, svc
 	op.prev, op.onDone = req.OnComplete, onDone
 	req.OnComplete = op.fn

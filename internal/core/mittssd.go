@@ -50,8 +50,8 @@ type MittSSD struct {
 	rejected uint64
 
 	replies busyReplies
-	opFree  []*ssdOp
-	decFree []*chanDec
+	ops     sim.Freelist[ssdOp]
+	decs    sim.Freelist[chanDec]
 	// chanPages is admission scratch: pages of the current request per
 	// channel. Invariant: all-zero between submissions — each accepted
 	// submission re-zeroes exactly the channels it touched.
@@ -72,11 +72,13 @@ type ssdOp struct {
 	fn      func(*blockio.Request) // pre-bound op.done
 }
 
+func (op *ssdOp) Bind() { op.fn = op.done }
+
 func (op *ssdOp) done(r *blockio.Request) {
 	m, prev, onDone := op.m, op.prev, op.onDone
 	hasSLO, rawBusy, wait, svc := op.hasSLO, op.rawBusy, op.wait, op.svc
 	op.prev, op.onDone = nil, nil
-	m.opFree = append(m.opFree, op)
+	m.ops.Release(op)
 	if hasSLO && m.dec.shadow {
 		actualWait := r.Latency() - svc
 		if actualWait < 0 {
@@ -106,9 +108,11 @@ type chanDec struct {
 	fn func() // pre-bound d.fire
 }
 
+func (d *chanDec) Bind() { d.fn = d.fire }
+
 func (d *chanDec) fire() {
 	m, ch := d.m, d.ch
-	m.decFree = append(m.decFree, d)
+	m.decs.Release(d)
 	if m.chanOut[ch] > 0 {
 		m.chanOut[ch]--
 	}
@@ -254,15 +258,8 @@ func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		m.chanPages[chanID]++
 		m.chipNextFree[chipID] = m.chipNextFree[chipID].Add(cost)
 		m.chanOut[chanID]++
-		var d *chanDec
-		if n := len(m.decFree); n > 0 {
-			d = m.decFree[n-1]
-			m.decFree = m.decFree[:n-1]
-		} else {
-			d = &chanDec{m: m}
-			d.fn = d.fire
-		}
-		d.ch = chanID
+		d := sim.Acquire(&m.decs)
+		d.m, d.ch = m, chanID
 		m.eng.After(xferAt, d.fn)
 	}
 	// Restore the scratch's all-zero invariant, touching only the channels
@@ -278,15 +275,8 @@ func (m *MittSSD) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		}
 	}
 
-	var op *ssdOp
-	if n := len(m.opFree); n > 0 {
-		op = m.opFree[n-1]
-		m.opFree = m.opFree[:n-1]
-	} else {
-		op = &ssdOp{m: m}
-		op.fn = op.done
-	}
-	op.hasSLO, op.rawBusy, op.wait, op.svc = hasSLO, rawBusy, wait, svc
+	op := sim.Acquire(&m.ops)
+	op.m, op.hasSLO, op.rawBusy, op.wait, op.svc = m, hasSLO, rawBusy, wait, svc
 	op.prev, op.onDone = req.OnComplete, onDone
 	req.OnComplete = op.fn
 	m.dev.Submit(req)

@@ -149,8 +149,8 @@ type Disk struct {
 	// onSlotFree lets the scheduler above refill the device queue.
 	onSlotFree func()
 
-	svcFree []*diskSvcOp
-	ackFree []*diskAckOp
+	svcs sim.Freelist[diskSvcOp]
+	acks sim.Freelist[diskAckOp]
 
 	rec *metrics.Recorder
 }
@@ -164,10 +164,12 @@ type diskSvcOp struct {
 	fn       func() // pre-bound op.fire
 }
 
+func (op *diskSvcOp) Bind() { op.fn = op.fire }
+
 func (op *diskSvcOp) fire() {
 	d, req, destaged := op.d, op.req, op.destaged
 	op.req = nil
-	d.svcFree = append(d.svcFree, op)
+	d.svcs.Release(op)
 	d.headPos = req.End()
 	d.busy = false
 	d.served++
@@ -187,10 +189,12 @@ type diskAckOp struct {
 	fn  func() // pre-bound op.fire
 }
 
+func (op *diskAckOp) Bind() { op.fn = op.fire }
+
 func (op *diskAckOp) fire() {
 	d, req := op.d, op.req
 	op.req = nil
-	d.ackFree = append(d.ackFree, op)
+	d.acks.Release(op)
 	d.complete(req)
 }
 
@@ -267,15 +271,8 @@ func (d *Disk) Submit(req *blockio.Request) {
 		// acked (and possibly recycled by its owner) before the spindle
 		// writes the data back.
 		d.destage.push(destageRec{offset: req.Offset, size: req.Size}, d.cfg.WriteBufferSlots)
-		var op *diskAckOp
-		if n := len(d.ackFree); n > 0 {
-			op = d.ackFree[n-1]
-			d.ackFree = d.ackFree[:n-1]
-		} else {
-			op = &diskAckOp{d: d}
-			op.fn = op.fire
-		}
-		op.req = req
+		op := sim.Acquire(&d.acks)
+		op.d, op.req = d, req
 		d.eng.After(d.cfg.WriteAckLatency, op.fn)
 		d.kick() // idle disks destage immediately
 		return
@@ -298,15 +295,8 @@ func (d *Disk) kick() {
 		d.rec.DevStart(metrics.RDisk, req)
 	}
 	svc := d.ServiceTime(d.headPos, req)
-	var op *diskSvcOp
-	if n := len(d.svcFree); n > 0 {
-		op = d.svcFree[n-1]
-		d.svcFree = d.svcFree[:n-1]
-	} else {
-		op = &diskSvcOp{d: d}
-		op.fn = op.fire
-	}
-	op.req, op.destaged = req, destaged
+	op := sim.Acquire(&d.svcs)
+	op.d, op.req, op.destaged = d, req, destaged
 	d.eng.After(svc, op.fn)
 }
 

@@ -133,15 +133,17 @@ func derateForDisk(tr *trace.Trace, cfg disk.Config) *trace.Trace {
 // the release at the terminal is always the last reference.
 type fig9Op struct {
 	waits *stats.Sample
-	free  *[]*fig9Op
+	free  *sim.Freelist[fig9Op]
 	req   *blockio.Request
 	fn    func(error) // pre-bound op.done
 }
 
+func (op *fig9Op) Bind() { op.fn = op.done }
+
 func (op *fig9Op) done(err error) {
 	req, waits := op.req, op.waits
 	op.req = nil
-	*op.free = append(*op.free, op)
+	op.free.Release(op)
 	if err == nil {
 		w := req.Latency() - req.PredictedService
 		if w < 0 {
@@ -150,17 +152,6 @@ func (op *fig9Op) done(err error) {
 		waits.Add(w)
 	}
 	req.Release()
-}
-
-func getFig9Op(free *[]*fig9Op, waits *stats.Sample) *fig9Op {
-	if n := len(*free); n > 0 {
-		op := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return op
-	}
-	op := &fig9Op{waits: waits, free: free}
-	op.fn = op.done
-	return op
 }
 
 // diskVariant selects the fig9 disk-side discipline.
@@ -216,7 +207,7 @@ func fig9DiskPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
 	var ids blockio.IDGen
 	clamped := tr.Clamp(dcfg.CapacityBytes)
 	var reqs blockio.Pool
-	var opFree []*fig9Op
+	var ops sim.Freelist[fig9Op]
 	rep := trace.NewReplayer(eng, clamped, func(rec trace.Record) {
 		req := reqs.Get()
 		req.ID, req.Op, req.Offset = ids.Next(), rec.Op, rec.Offset
@@ -224,8 +215,8 @@ func fig9DiskPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
 		if rec.Op == blockio.Read {
 			req.Deadline = deadline
 		}
-		op := getFig9Op(&opFree, waits)
-		op.req = req
+		op := sim.Acquire(&ops)
+		op.waits, op.free, op.req = waits, &ops, req
 		target.SubmitSLO(req, op.fn)
 	})
 	rep.Start()
@@ -263,7 +254,7 @@ func fig9SSDPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
 	var ids blockio.IDGen
 	clamped := tr.Clamp(scfg.LogicalBytes())
 	var reqs blockio.Pool
-	var opFree []*fig9Op
+	var ops sim.Freelist[fig9Op]
 	rep := trace.NewReplayer(eng, clamped, func(rec trace.Record) {
 		req := reqs.Get()
 		req.ID, req.Op, req.Offset = ids.Next(), rec.Op, rec.Offset
@@ -271,8 +262,8 @@ func fig9SSDPass(opt Fig9Options, tr *trace.Trace, deadline time.Duration,
 		if rec.Op == blockio.Read {
 			req.Deadline = deadline
 		}
-		op := getFig9Op(&opFree, waits)
-		op.req = req
+		op := sim.Acquire(&ops)
+		op.waits, op.free, op.req = waits, &ops, req
 		m.SubmitSLO(req, op.fn)
 	})
 	rep.Start()

@@ -157,8 +157,7 @@ type CFQ struct {
 	dispatched   uint64
 	dispatchHook func(*blockio.Request)
 	dropHook     func(*blockio.Request)
-	dispFree     []*cfqDisp
-	aheadScratch []int
+	disps        sim.Freelist[cfqDisp]
 	rec          *metrics.Recorder
 }
 
@@ -170,10 +169,12 @@ type cfqDisp struct {
 	fn   func(*blockio.Request) // pre-bound d.done
 }
 
+func (d *cfqDisp) Bind() { d.fn = d.done }
+
 func (d *cfqDisp) done(r *blockio.Request) {
 	c, prev := d.c, d.prev
 	d.prev = nil
-	c.dispFree = append(c.dispFree, d)
+	c.disps.Release(d)
 	c.onDevice--
 	if prev != nil {
 		prev(r)
@@ -289,14 +290,6 @@ func (c *CFQ) QueueLen() int { return c.queued }
 // Dispatched returns the total number of IOs sent to the device.
 func (c *CFQ) Dispatched() uint64 { return c.dispatched }
 
-// PendingOf returns the number of queued IOs of one process.
-func (c *CFQ) PendingOf(proc int) int {
-	if n := c.lookup(proc); n != nil {
-		return n.tree.Len()
-	}
-	return 0
-}
-
 // Remove drops a still-queued request from its process node (MittCFQ's late
 // cancellation path). It returns false if the request already left for the
 // device.
@@ -347,9 +340,9 @@ func (c *CFQ) ProcCharge(proc int) time.Duration {
 // CFQ would service before a newly arriving IO from `proc` at the given
 // class — the augmented-tree form of the ProcsAheadOf walk: the active
 // node's clamped charge plus one aggregate (or prefix) query per class rank,
-// O(log P) total. ProcsAheadOf remains as the walking oracle; the two agree
-// exactly because integer addition is order-independent and both apply the
-// same inclusion and clamping rules.
+// O(log P) total. The walking oracle ProcsAheadOf lives in oracle_test.go;
+// the two agree exactly because integer addition is order-independent and
+// both apply the same inclusion and clamping rules.
 func (c *CFQ) AheadCharge(proc int, class blockio.Class) time.Duration {
 	var sum time.Duration
 	rank := class.Rank()
@@ -412,59 +405,6 @@ func (c *CFQ) IsAheadOf(candidate, proc int, class blockio.Class) bool {
 	return cn.st.key < pn.st.key
 }
 
-// ProcsAheadOf returns the process IDs whose queued IOs CFQ would service
-// before a newly arriving IO from `proc` at (class, prio) — the O(P) walk
-// of §4.2, kept as the oracle AheadCharge and IsAheadOf are verified
-// against. The order is: the active node, nodes of higher classes, then
-// same-class nodes ahead in round-robin order. The returned slice is scratch
-// reused across calls.
-func (c *CFQ) ProcsAheadOf(proc int, class blockio.Class) []int {
-	ahead := c.aheadScratch[:0]
-	// The active node counts only when the newcomer cannot preempt it: a
-	// higher-class arrival takes over at the next dispatch decision, so
-	// only the active node's device-resident IOs (accounted separately by
-	// the caller) delay it.
-	rank := class.Rank()
-	if c.active != nil && c.active.proc != proc && c.active.tree.Len() > 0 &&
-		rank >= c.active.class.Rank() {
-		ahead = append(ahead, c.active.proc)
-	}
-	var procKey uint64
-	procOn := false
-	if pn := c.lookup(proc); pn != nil && pn.st != nil && pn.stRank == rank {
-		procKey, procOn = pn.st.key, true
-	}
-	for r := 0; r <= rank; r++ {
-		for x := c.st[r].first(); x != nil; x = stNext(x) {
-			n := x.pn
-			if n.proc == proc || n.tree.Len() == 0 {
-				continue
-			}
-			if r < rank || !procOn || x.key < procKey {
-				ahead = append(ahead, n.proc)
-			}
-		}
-	}
-	c.aheadScratch = ahead
-	return ahead
-}
-
-// NodeSlice returns the time slice the proc's node currently earns — the
-// bound on how long one node can hold the device per round.
-func (c *CFQ) NodeSlice(proc int) time.Duration {
-	if n := c.lookup(proc); n != nil {
-		return c.cfg.Slice(n.prio)
-	}
-	return c.cfg.Slice(4)
-}
-
-// EachQueued visits every queued request of a process in offset order.
-func (c *CFQ) EachQueued(proc int, fn func(*blockio.Request) bool) {
-	if n := c.lookup(proc); n != nil {
-		n.tree.Each(fn)
-	}
-}
-
 // pump dispatches IOs while the device accepts them, keeping at most
 // Quantum outstanding.
 func (c *CFQ) pump() {
@@ -493,15 +433,8 @@ func (c *CFQ) pump() {
 		c.rec.SchedExit(metrics.RSchedCFQ, req)
 		c.dispatched++
 		c.onDevice++
-		var d *cfqDisp
-		if n := len(c.dispFree); n > 0 {
-			d = c.dispFree[n-1]
-			c.dispFree = c.dispFree[:n-1]
-		} else {
-			d = &cfqDisp{c: c}
-			d.fn = d.done
-		}
-		d.prev = req.OnComplete
+		d := sim.Acquire(&c.disps)
+		d.c, d.prev = c, req.OnComplete
 		req.OnComplete = d.fn
 		if c.dispatchHook != nil {
 			c.dispatchHook(req)

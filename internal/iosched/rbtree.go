@@ -251,24 +251,6 @@ func (t *rbTree) findReq(n *rbNode, req *blockio.Request) *rbNode {
 	return nil
 }
 
-// Each visits requests in ascending offset order; return false to stop.
-func (t *rbTree) Each(fn func(*blockio.Request) bool) {
-	var walk func(n *rbNode) bool
-	walk = func(n *rbNode) bool {
-		if n == nil {
-			return true
-		}
-		if !walk(n.left) {
-			return false
-		}
-		if !fn(n.req) {
-			return false
-		}
-		return walk(n.right)
-	}
-	walk(t.root)
-}
-
 // delete removes node z (CLRS RB-DELETE).
 func (t *rbTree) delete(z *rbNode) {
 	t.size--

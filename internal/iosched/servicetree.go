@@ -138,33 +138,6 @@ func (t *serviceTree) prefixBefore(x *stNode) time.Duration {
 // total returns the contrib sum of every node on the tree.
 func (t *serviceTree) total() time.Duration { return stSum(t.root) }
 
-// first returns the head of the round-robin order, or nil.
-func (t *serviceTree) first() *stNode {
-	n := t.root
-	if n == nil {
-		return nil
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n
-}
-
-// stNext returns x's in-order successor, or nil.
-func stNext(x *stNode) *stNode {
-	if x.right != nil {
-		x = x.right
-		for x.left != nil {
-			x = x.left
-		}
-		return x
-	}
-	for x.parent != nil && x == x.parent.right {
-		x = x.parent
-	}
-	return x.parent
-}
-
 func (t *serviceTree) transplant(u, v *stNode) {
 	switch {
 	case u.parent == nil:

@@ -146,9 +146,9 @@ type Store struct {
 	// Per-IO pools: requests, fire-and-forget write completions, and
 	// memory-latency completions. Steady-state operation recycles these
 	// instead of allocating.
-	reqs    *blockio.Pool
-	bgFree  []*bgWrite
-	memFree []*memOp
+	reqs *blockio.Pool
+	bgs  sim.Freelist[bgWrite]
+	mems sim.Freelist[memOp]
 	// versions tracks each key's write count — the replication timestamp
 	// consistency-aware failover compares (§8.3). Keys absent from the
 	// map are at their preloaded base version 0.
@@ -158,9 +158,9 @@ type Store struct {
 	// awaiting a WAL append, the in-flight-group latch, and the group
 	// context freelist. One WAL group IO is outstanding at a time — the
 	// classic single-writer group commit.
-	walPend   []putWaiter
-	walBusy   bool
-	groupFree []*walGroup
+	walPend []putWaiter
+	walBusy bool
+	groups  sim.Freelist[walGroup]
 
 	// Backpressure accounting: outstanding background bytes and an EWMA of
 	// the observed background service rate (ns/byte), measured from
@@ -299,10 +299,12 @@ type bgWrite struct {
 	doneFn func(error) // pre-bound (*bgWrite).done
 }
 
+func (w *bgWrite) Bind() { w.doneFn = w.done }
+
 func (w *bgWrite) done(error) {
 	s, req := w.s, w.req
 	w.req = nil
-	s.bgFree = append(s.bgFree, w)
+	s.bgs.Release(w)
 	s.noteBgDone(req)
 	req.Release()
 }
@@ -339,15 +341,8 @@ func (s *Store) submitBackground(op blockio.Op, off int64, size int, class block
 	req := s.reqs.Get()
 	req.ID, req.Op, req.Offset, req.Size = s.ids.Next(), op, off, size
 	req.Proc, req.Class, req.Priority = s.cfg.Proc, class, prio
-	var w *bgWrite
-	if n := len(s.bgFree); n > 0 {
-		w = s.bgFree[n-1]
-		s.bgFree = s.bgFree[:n-1]
-	} else {
-		w = &bgWrite{s: s}
-		w.doneFn = w.done
-	}
-	w.req = req
+	w := sim.Acquire(&s.bgs)
+	w.s, w.req = s, req
 	s.bgBytes += int64(size)
 	s.target.SubmitSLO(req, w.doneFn)
 }
@@ -361,24 +356,19 @@ type memOp struct {
 	fireFn func() // pre-bound (*memOp).fire
 }
 
+func (op *memOp) Bind() { op.fireFn = op.fire }
+
 func (op *memOp) fire() {
 	s, onDone, err := op.s, op.onDone, op.err
 	op.onDone = nil
 	op.err = nil
-	s.memFree = append(s.memFree, op)
+	s.mems.Release(op)
 	onDone(err)
 }
 
 func (s *Store) afterMem(err error, onDone func(error)) {
-	var op *memOp
-	if n := len(s.memFree); n > 0 {
-		op = s.memFree[n-1]
-		s.memFree = s.memFree[:n-1]
-	} else {
-		op = &memOp{s: s}
-		op.fireFn = op.fire
-	}
-	op.err, op.onDone = err, onDone
+	op := sim.Acquire(&s.mems)
+	op.s, op.err, op.onDone = s, err, onDone
 	s.eng.After(s.cfg.MemLatency, op.fireFn)
 }
 
@@ -475,17 +465,7 @@ type walGroup struct {
 	doneFn  func(error) // pre-bound (*walGroup).done
 }
 
-func (s *Store) getGroup() *walGroup {
-	var g *walGroup
-	if n := len(s.groupFree); n > 0 {
-		g = s.groupFree[n-1]
-		s.groupFree = s.groupFree[:n-1]
-	} else {
-		g = &walGroup{s: s}
-		g.doneFn = g.done
-	}
-	return g
-}
+func (g *walGroup) Bind() { g.doneFn = g.done }
 
 // PutSLO is the deadline-carrying put (§3's SLO-aware interface applied to
 // writes). A zero deadline is exactly Put: vanilla fire-and-forget WAL plus
@@ -539,7 +519,8 @@ func (s *Store) flushWalGroup() {
 	if rem := walBlocks - int(s.walPos%walBlocks); k > rem {
 		k = rem
 	}
-	g := s.getGroup()
+	g := sim.Acquire(&s.groups)
+	g.s = s
 	g.members = append(g.members[:0], s.walPend[:k]...)
 	n := copy(s.walPend, s.walPend[k:])
 	for i := n; i < len(s.walPend); i++ {
@@ -647,7 +628,7 @@ func (g *walGroup) done(err error) {
 		m.onDone = nil
 	}
 	g.members = g.members[:0]
-	s.groupFree = append(s.groupFree, g)
+	s.groups.Release(g)
 	s.walBusy = false
 	if len(s.walPend) > 0 {
 		s.flushWalGroup()

@@ -102,7 +102,7 @@ type Bursty struct {
 	inFlight int
 
 	reqs       blockio.Pool
-	streamFree []*bStream
+	streamPool sim.Freelist[bStream]
 }
 
 // bStream is one pooled closed-loop contender stream; its completion
@@ -112,6 +112,8 @@ type bStream struct {
 	until sim.Time
 	fn    func(*blockio.Request) // pre-bound (*bStream).complete
 }
+
+func (st *bStream) Bind() { st.fn = st.complete }
 
 func (st *bStream) complete(*blockio.Request) {
 	st.b.inFlight--
@@ -169,15 +171,8 @@ func (b *Bursty) beginEpisode() {
 	b.episodes = append(b.episodes, Episode{Start: b.eng.Now(), Duration: dur, Streams: streams})
 	end := b.eng.Now().Add(dur)
 	for i := 0; i < streams*b.cfg.IODepth; i++ {
-		var st *bStream
-		if n := len(b.streamFree); n > 0 {
-			st = b.streamFree[n-1]
-			b.streamFree = b.streamFree[:n-1]
-		} else {
-			st = &bStream{b: b}
-			st.fn = st.complete
-		}
-		st.until = end
+		st := sim.Acquire(&b.streamPool)
+		st.b, st.until = b, end
 		b.stream(st)
 	}
 	b.eng.FireAt(end, func() {
@@ -192,7 +187,7 @@ func (b *Bursty) beginEpisode() {
 // been observed.
 func (b *Bursty) stream(st *bStream) {
 	if b.eng.Now() >= st.until || b.stop {
-		b.streamFree = append(b.streamFree, st)
+		b.streamPool.Release(st)
 		return
 	}
 	req := b.reqs.Get()
@@ -298,7 +293,7 @@ type Rotating struct {
 	running bool
 
 	reqs       blockio.Pool
-	streamFree []*rStream
+	streamPool sim.Freelist[rStream]
 }
 
 // rStream is one pooled rotating-contender stream, pinned to a node and
@@ -309,6 +304,8 @@ type rStream struct {
 	epoch uint64
 	fn    func(*blockio.Request) // pre-bound (*rStream).complete
 }
+
+func (st *rStream) Bind() { st.fn = st.complete }
 
 func (st *rStream) complete(*blockio.Request) { st.r.loop(st) }
 
@@ -340,15 +337,8 @@ func (r *Rotating) beginEpoch() {
 	}
 	r.epoch++
 	for i := 0; i < r.streams; i++ {
-		var st *rStream
-		if n := len(r.streamFree); n > 0 {
-			st = r.streamFree[n-1]
-			r.streamFree = r.streamFree[:n-1]
-		} else {
-			st = &rStream{r: r}
-			st.fn = st.complete
-		}
-		st.node, st.epoch = r.current, r.epoch
+		st := sim.Acquire(&r.streamPool)
+		st.r, st.node, st.epoch = r, r.current, r.epoch
 		r.loop(st)
 	}
 	r.eng.After(r.period, func() {
@@ -362,7 +352,7 @@ func (r *Rotating) beginEpoch() {
 
 func (r *Rotating) loop(st *rStream) {
 	if !r.running || st.epoch != r.epoch {
-		r.streamFree = append(r.streamFree, st)
+		r.streamPool.Release(st)
 		return
 	}
 	span := r.space - int64(r.size)

@@ -79,7 +79,7 @@ type Cache struct {
 	// Per-IO freelists: background sub-requests and the hit/miss
 	// completion contexts that replace per-IO closures.
 	reqs    *blockio.Pool
-	opFree  []*cacheOp
+	ops     sim.Freelist[cacheOp]
 	victims []*page // EvictFraction scratch
 
 	hits, misses, evictions uint64
@@ -215,22 +215,19 @@ type cacheOp struct {
 }
 
 func (c *Cache) getOp(req *blockio.Request) *cacheOp {
-	var op *cacheOp
-	if n := len(c.opFree); n > 0 {
-		op = c.opFree[n-1]
-		c.opFree = c.opFree[:n-1]
-	} else {
-		op = &cacheOp{c: c}
-		op.fireFn = op.fire
-		op.fillFn = op.fill
-	}
-	op.req = req
+	op := sim.Acquire(&c.ops)
+	op.c, op.req = c, req
 	return op
 }
 
 func (c *Cache) freeOp(op *cacheOp) {
 	op.req = nil
-	c.opFree = append(c.opFree, op)
+	c.ops.Release(op)
+}
+
+func (op *cacheOp) Bind() {
+	op.fireFn = op.fire
+	op.fillFn = op.fill
 }
 
 // fire completes a hit/write after the hit latency elapsed.

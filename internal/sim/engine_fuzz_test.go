@@ -18,7 +18,7 @@ var fuzzDelays = [...]Duration{
 	1 << 24, // level 3
 	1 << 32, // level 4
 	Duration(300 * time.Second),
-	1 << 48, // overflow horizon
+	1 << 48,           // overflow horizon
 	Duration(1 << 62), // near MaxTime; saturates under accumulation
 }
 

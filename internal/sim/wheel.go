@@ -52,11 +52,11 @@ const (
 	// virtual time — far past any experiment leg, so in practice only
 	// saturating MaxTime deadlines overflow.
 	wheelLevels       = 6
-	wheelWords        = wheelSlots / 64            // occupancy-bitmap words per level
-	wheelHorizonShift = wheelBits * wheelLevels    // 48
-	overflowLevel     = int16(wheelLevels)         // Event.qlevel: parked on the overflow list
-	unqueuedLevel     = int16(-1)                  // Event.qlevel: not in the queue
-	soloLevel         = int16(-2)                  // Event.qlevel: parked in Engine.solo, unplaced
+	wheelWords        = wheelSlots / 64         // occupancy-bitmap words per level
+	wheelHorizonShift = wheelBits * wheelLevels // 48
+	overflowLevel     = int16(wheelLevels)      // Event.qlevel: parked on the overflow list
+	unqueuedLevel     = int16(-1)               // Event.qlevel: not in the queue
+	soloLevel         = int16(-2)               // Event.qlevel: parked in Engine.solo, unplaced
 )
 
 // evList is one slot's intrusive doubly-linked event list (also the shape

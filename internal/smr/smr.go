@@ -93,8 +93,8 @@ type Drive struct {
 	chunkFn     func(*blockio.Request) // pre-bound chunk completion
 	cleanFn     func()                 // pre-bound d.cleanNext
 
-	reqs     blockio.Pool
-	slowFree []*slowOp
+	reqs  blockio.Pool
+	slows sim.Freelist[slowOp]
 }
 
 // slowOp is the pooled completion context for the cache-full slow path: it
@@ -105,10 +105,12 @@ type slowOp struct {
 	fn  func(*blockio.Request)
 }
 
+func (op *slowOp) Bind() { op.fn = op.done }
+
 func (op *slowOp) done(r *blockio.Request) {
 	d, req := op.d, op.req
 	op.req = nil
-	d.slowFree = append(d.slowFree, op)
+	d.slows.Release(op)
 	r.Release()
 	req.CompleteTime = d.eng.Now()
 	if req.OnComplete != nil {
@@ -177,8 +179,6 @@ func (d *Drive) InFlight() int { return d.disk.InFlight() }
 // Config returns the drive configuration.
 func (d *Drive) Config() Config { return d.cfg }
 
-// Underlying exposes the conventional-disk mechanics beneath the bands.
-func (d *Drive) Underlying() *disk.Disk     { return d.disk }
 func (d *Drive) band(off int64) int64       { return off / d.cfg.BandBytes }
 func (d *Drive) bandStart(band int64) int64 { return band * d.cfg.BandBytes }
 
@@ -195,15 +195,8 @@ func (d *Drive) Submit(req *blockio.Request) {
 			slow.Op, slow.Offset, slow.Size = blockio.Read, req.Offset, req.Size
 			slow.Proc, slow.Class, slow.Priority = req.Proc, req.Class, req.Priority
 			slow.SubmitTime = req.SubmitTime
-			var op *slowOp
-			if n := len(d.slowFree); n > 0 {
-				op = d.slowFree[n-1]
-				d.slowFree = d.slowFree[:n-1]
-			} else {
-				op = &slowOp{d: d}
-				op.fn = op.done
-			}
-			op.req = req
+			op := sim.Acquire(&d.slows)
+			op.d, op.req = d, req
 			slow.OnComplete = op.fn
 			d.disk.Submit(slow)
 			d.maybeClean()

@@ -144,9 +144,9 @@ type SSD struct {
 
 	// Freelists for the per-IO machinery: page ops, request groups, and
 	// chip-busy episodes. The steady-state per-IO path allocates nothing.
-	opFree   []*pageOp
-	grpFree  []*ioGroup
-	busyFree []*busyOp
+	ops    sim.Freelist[pageOp]
+	groups sim.Freelist[ioGroup]
+	busys  sim.Freelist[busyOp]
 
 	// degrade scales every chip and channel operation; 1.0 = healthy. The
 	// FTL's GC bookkeeping and the host-visible profile (the page program
@@ -485,6 +485,8 @@ type ioGroup struct {
 	remaining int
 }
 
+func (g *ioGroup) Bind() {}
+
 func (g *ioGroup) pageDone() {
 	g.remaining--
 	if g.remaining != 0 {
@@ -492,7 +494,7 @@ func (g *ioGroup) pageDone() {
 	}
 	s, req := g.s, g.req
 	g.req = nil
-	s.grpFree = append(s.grpFree, g)
+	s.groups.Release(g)
 	if s.errRate > 0 && s.errRNG != nil && s.errRNG.Bool(s.errRate) {
 		req.Err = blockio.ErrIO
 	}
@@ -505,14 +507,8 @@ func (g *ioGroup) pageDone() {
 }
 
 func (s *SSD) getGroup(req *blockio.Request, pages int) *ioGroup {
-	var g *ioGroup
-	if n := len(s.grpFree); n > 0 {
-		g = s.grpFree[n-1]
-		s.grpFree = s.grpFree[:n-1]
-	} else {
-		g = &ioGroup{s: s}
-	}
-	g.req = req
+	g := sim.Acquire(&s.groups)
+	g.s, g.req = s, req
 	g.remaining = pages
 	return g
 }
@@ -548,16 +544,9 @@ type pageOp struct {
 }
 
 func (s *SSD) getOp(grp *ioGroup, lp int64, stage uint8) *pageOp {
-	var op *pageOp
-	if n := len(s.opFree); n > 0 {
-		op = s.opFree[n-1]
-		s.opFree = s.opFree[:n-1]
-	} else {
-		op = &pageOp{s: s}
-		op.stepFn = op.step
-	}
+	op := sim.Acquire(&s.ops)
 	chipID := int(lp % int64(s.cfg.TotalChips()))
-	op.grp, op.req, op.lp = grp, grp.req, lp
+	op.s, op.grp, op.req, op.lp = s, grp, grp.req, lp
 	op.c = s.chips[chipID]
 	op.ch = s.channels[chipID%s.cfg.Channels]
 	op.stage = stage
@@ -567,8 +556,10 @@ func (s *SSD) getOp(grp *ioGroup, lp int64, stage uint8) *pageOp {
 
 func (s *SSD) freeOp(op *pageOp) {
 	op.grp, op.req, op.c, op.ch = nil, nil, nil, nil
-	s.opFree = append(s.opFree, op)
+	s.ops.Release(op)
 }
+
+func (op *pageOp) Bind() { op.stepFn = op.step }
 
 // serve implements serverTask: the op reached the front of a die or channel
 // queue. For writes the same op is queued on both servers; sv disambiguates.
@@ -650,6 +641,8 @@ type busyOp struct {
 	stepFn func()
 }
 
+func (b *busyOp) Bind() { b.stepFn = b.step }
+
 func (b *busyOp) serve(sv *server) {
 	b.sv = sv
 	b.s.eng.After(b.d, b.stepFn)
@@ -658,20 +651,13 @@ func (b *busyOp) serve(sv *server) {
 func (b *busyOp) step() {
 	sv := b.sv
 	b.sv = nil
-	b.s.busyFree = append(b.s.busyFree, b)
+	b.s.busys.Release(b)
 	sv.finish()
 }
 
 func (s *SSD) occupyChip(c *chip, busy time.Duration) {
-	var b *busyOp
-	if n := len(s.busyFree); n > 0 {
-		b = s.busyFree[n-1]
-		s.busyFree = s.busyFree[:n-1]
-	} else {
-		b = &busyOp{s: s}
-		b.stepFn = b.step
-	}
-	b.d = s.scaled(busy)
+	b := sim.Acquire(&s.busys)
+	b.s, b.d = s, s.scaled(busy)
 	c.srv.run(b)
 }
 
