@@ -94,6 +94,43 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("MittCFQ accept path allocates %.1f objects per IO; budget is 0", avg)
 		}
 	})
+	t.Run("DeadlineSubmitAccept", func(t *testing.T) {
+		// The same accept round trip through MittDeadline: admission,
+		// deadline-scheduler dispatch into the device mirror, completion,
+		// recycling.
+		submit := pooledStackSubmit(mittos.StackConfig{Device: mittos.DeviceDisk,
+			Scheduler: mittos.SchedulerDeadline, Mitt: true, Seed: 1})
+		for i := 0; i < 64; i++ { // warm every pool on the path
+			submit(blockio.Read, int64(i+1)*(10<<30), time.Second)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			submit(blockio.Read, 300<<30, time.Second)
+		})
+		if avg != 0 {
+			t.Fatalf("MittDeadline accept path allocates %.1f objects per IO; budget is 0", avg)
+		}
+	})
+	t.Run("VanillaCachedMiss", func(t *testing.T) {
+		// A page cache over the vanilla CFQ stack, cycling 512 pages
+		// through 64: every read misses and reads through, every write
+		// dirties a page whose write-back reaches the disk. The cache's
+		// sub-IOs enter the block layer through cluster.TargetDevice,
+		// which recycles them.
+		submit := pooledStackSubmit(mittos.StackConfig{Device: mittos.DeviceDisk,
+			Scheduler: mittos.SchedulerCFQ, CachePages: 64, Seed: 1})
+		page := int64(0)
+		next := func() int64 { page = (page + 1) % 512; return page << 30 }
+		for i := 0; i < 1024; i++ { // warm every pool on the path
+			submit(blockio.Read, next(), 0)
+			submit(blockio.Write, next(), 0)
+		}
+		if avg := testing.AllocsPerRun(200, func() { submit(blockio.Read, next(), 0) }); avg != 0 {
+			t.Fatalf("cached miss read allocates %.1f objects per IO; budget is 0", avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() { submit(blockio.Write, next(), 0) }); avg != 0 {
+			t.Fatalf("cached write allocates %.1f objects per IO; budget is 0", avg)
+		}
+	})
 	t.Run("EngineSchedule", func(t *testing.T) {
 		eng := mittos.NewEngine()
 		// Warm the event freelist.
@@ -413,6 +450,25 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("KeyOffset allocates %.1f objects per lookup; budget is 0", avg)
 		}
 	})
+}
+
+// pooledStackSubmit builds a Stack and returns a func that runs one 4KB IO
+// through its Target to completion, drawing requests from a pool so the
+// measured path is the stack's alone.
+func pooledStackSubmit(cfg mittos.StackConfig) func(op blockio.Op, off int64, deadline time.Duration) {
+	eng := mittos.NewEngine()
+	s := mittos.NewStack(eng, cfg)
+	var pool blockio.Pool
+	var ids blockio.IDGen
+	var cur *blockio.Request
+	done := func(error) { cur.Release() }
+	return func(op blockio.Op, off int64, deadline time.Duration) {
+		cur = pool.Get()
+		cur.ID, cur.Op, cur.Offset, cur.Size = ids.Next(), op, off, 4096
+		cur.Proc, cur.Deadline = 1, deadline
+		s.Target().SubmitSLO(cur, done)
+		eng.Run()
+	}
 }
 
 // discardDevice accepts IOs and never completes them: a backing device for

@@ -47,7 +47,7 @@ func TestAccuracyRates(t *testing.T) {
 }
 
 func TestDeciderObserve(t *testing.T) {
-	d := decider{thop: time.Millisecond}
+	d := kernel{thop: time.Millisecond}
 	deadline := 10 * time.Millisecond
 	// busy verdict + actual violation = TP
 	d.observe(true, 20*time.Millisecond, 20*time.Millisecond, deadline)
@@ -68,22 +68,22 @@ func TestDeciderObserve(t *testing.T) {
 
 func TestDeciderInjection(t *testing.T) {
 	rng := sim.NewRNG(1, "inj")
-	d := decider{injFN: 1.0, injRNG: rng}
+	d := kernel{injFN: 1.0, injRNG: rng}
 	if d.rejects(true) {
 		t.Fatal("100% false-negative injection should suppress rejection")
 	}
-	d = decider{injFP: 1.0, injRNG: rng}
+	d = kernel{injFP: 1.0, injRNG: rng}
 	if !d.rejects(false) {
 		t.Fatal("100% false-positive injection should force rejection")
 	}
-	d = decider{}
+	d = kernel{}
 	if !d.rejects(true) || d.rejects(false) {
 		t.Fatal("no injection should be identity")
 	}
 }
 
 func TestDeciderThreshold(t *testing.T) {
-	d := decider{thop: 300 * time.Microsecond}
+	d := kernel{thop: 300 * time.Microsecond}
 	if d.threshold(20*time.Millisecond) != 20*time.Millisecond+300*time.Microsecond {
 		t.Fatal("threshold must add Thop")
 	}

@@ -12,7 +12,8 @@ import (
 // every outstanding IO and, knowing the device's SSTF policy (Appendix A:
 // "we found that our target disk exhibits SSTF policy"), replays the
 // service order with profiled per-IO costs. MittNoop mirrors the whole
-// dispatch+device queue; MittCFQ mirrors just the device-resident quantum.
+// dispatch+device queue; MittCFQ and MittDeadline mirror just the
+// device-resident IOs, entering each one at dispatch through track.
 //
 // Completion residuals feed an EWMA bias corrector — the Tdiff calibration
 // of §4.1 — so profile error cannot accumulate.
@@ -28,6 +29,7 @@ type sstfMirror struct {
 	driftBias time.Duration
 
 	entries sim.Freelist[mirrorEntry] // recycled entries
+	wraps   sim.Freelist[mirrorWrap]  // track's completion wrappers
 	scratch []*mirrorEntry            // replay working set, reused across calls
 }
 
@@ -71,6 +73,34 @@ func (m *sstfMirror) add(req *blockio.Request) {
 	m.pending = append(m.pending, e)
 	if m.inService == nil {
 		m.start()
+	}
+}
+
+// track registers a dispatched IO and wraps its completion hook so the
+// mirror retires it before the previous hook runs.
+func (m *sstfMirror) track(req *blockio.Request) {
+	m.add(req)
+	w := sim.Acquire(&m.wraps)
+	w.m, w.prev = m, req.OnComplete
+	req.OnComplete = w.fn
+}
+
+// mirrorWrap is track's pooled completion wrapper.
+type mirrorWrap struct {
+	m    *sstfMirror
+	prev func(*blockio.Request)
+	fn   func(*blockio.Request) // pre-bound w.done
+}
+
+func (w *mirrorWrap) Bind() { w.fn = w.done }
+
+func (w *mirrorWrap) done(r *blockio.Request) {
+	m, prev := w.m, w.prev
+	w.prev = nil
+	m.wraps.Release(w)
+	m.complete(r)
+	if prev != nil {
+		prev(r)
 	}
 }
 

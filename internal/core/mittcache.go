@@ -24,23 +24,17 @@ import (
 // background, so the cache stays warm for applications that expect memory
 // residency.
 type MittCache struct {
-	eng   *sim.Engine
+	// k is held by name, not embedded: the residency walk is exact, so
+	// MittCache takes no error injection and forwards only the rest.
+	k     kernel
 	cache *oscache.Cache
 	lower Target
 	// minIO is the smallest possible IO latency of the layer below; a
 	// deadline under it means "I expect a cache hit".
 	minIO time.Duration
-	opt   Options
-	dec   decider
 
-	accepted uint64
-	rejected uint64
-
-	replies busyReplies
-	hits    sim.Freelist[cacheHitOp]
-	misses  sim.Freelist[cacheMissOp]
-
-	rec *metrics.Recorder
+	hits   sim.Freelist[cacheHitOp]
+	misses sim.Freelist[cacheMissOp]
 }
 
 // cacheHitOp is the pooled completion wrapper for write-absorb and hit
@@ -105,33 +99,30 @@ func (op *cacheMissOp) done(err error) {
 	onDone(err)
 }
 
-// SetRecorder attaches a metrics recorder (nil disables, the default).
-func (m *MittCache) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
-
 // NewMittCache builds the layer over a page cache and the (Mitt-wrapped)
 // IO path below it. minIO is the smallest possible IO latency of the
 // backing device (e.g. ~100µs for flash, ~300µs sequential disk).
 func NewMittCache(eng *sim.Engine, cache *oscache.Cache, lower Target, minIO time.Duration, opt Options) *MittCache {
-	m := &MittCache{eng: eng, cache: cache, lower: lower, minIO: minIO, opt: opt}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
-	return m
+	return &MittCache{k: newKernel(eng, metrics.RMittCache, opt), cache: cache, lower: lower, minIO: minIO}
 }
+
+// SetRecorder attaches a metrics recorder (nil disables, the default).
+func (m *MittCache) SetRecorder(rec *metrics.Recorder) { m.k.SetRecorder(rec) }
 
 // SetMiscalibration distorts the layer's miss-cost estimate (minIO) to
 // minIO×scale + bias (scale 0 = no scaling; (0,0) restores it). MittCache's
 // residency walk is exact, so this is the only prediction it can get wrong.
 func (m *MittCache) SetMiscalibration(bias time.Duration, scale float64) {
-	m.dec.misBias, m.dec.misScale = bias, scale
+	m.k.SetMiscalibration(bias, scale)
 }
 
 // Accuracy returns shadow-mode counters. MittCache predictions are exact
 // page-table lookups ("there is no accuracy issues", §4.4), so FP/FN stay
 // zero; the method exists for interface symmetry and tests.
-func (m *MittCache) Accuracy() Accuracy { return m.dec.acc }
+func (m *MittCache) Accuracy() Accuracy { return m.k.Accuracy() }
 
 // Counts returns accepted/rejected totals.
-func (m *MittCache) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
+func (m *MittCache) Counts() (accepted, rejected uint64) { return m.k.Counts() }
 
 // AddrCheck models the addrcheck(&buf, size, deadline) system call: a
 // page-table walk before dereferencing an mmap-ed pointer. It returns nil
@@ -144,11 +135,11 @@ func (m *MittCache) AddrCheck(off int64, size int, deadline time.Duration) error
 	if m.cache.Resident(off, size) {
 		return nil
 	}
-	missCost := m.dec.adjust(m.minIO)
+	missCost := m.k.adjust(m.minIO)
 	if deadline > blockio.NoDeadline && deadline < missCost && m.cache.WasEverResident(off, size) {
-		m.rejected++
+		m.k.rejected++
 		// addrcheck has no request descriptor; only the counter moves.
-		m.rec.Incr(metrics.RMittCache, metrics.CRejected)
+		m.k.rec.Incr(metrics.RMittCache, metrics.CRejected)
 		// Keep swapping the data in behind the EBUSY (§4.4).
 		m.cache.Prefetch(off, size, blockio.ClassBestEffort, 4, -1)
 		return &BusyError{PredictedWait: missCost}
@@ -158,9 +149,8 @@ func (m *MittCache) AddrCheck(off int64, size int, deadline time.Duration) error
 
 // SubmitSLO implements Target for the read()-with-deadline path.
 func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
 	if req.SubmitTime == 0 {
-		req.SubmitTime = now
+		req.SubmitTime = m.k.eng.Now()
 	}
 	if req.Op == blockio.Write {
 		// Writes are absorbed by the cache; no deadline semantics (§7.8.6).
@@ -169,8 +159,8 @@ func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	}
 
 	if m.cache.Resident(req.Offset, req.Size) {
-		m.accepted++
-		m.rec.Incr(metrics.RMittCache, metrics.CAccepted)
+		m.k.accepted++
+		m.k.rec.Incr(metrics.RMittCache, metrics.CAccepted)
 		m.submitResident(req, onDone) // hit path, residency just verified
 		return
 	}
@@ -179,20 +169,18 @@ func (m *MittCache) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	// possible IO latency plus evidence of prior residency = memory-space
 	// contention → EBUSY, with background swap-in.
 	hasSLO := req.Deadline > blockio.NoDeadline
-	missCost := m.dec.adjust(m.minIO)
-	if hasSLO && req.Deadline < missCost && !m.dec.shadow &&
+	missCost := m.k.adjust(m.minIO)
+	if hasSLO && req.Deadline < missCost && !m.k.shadow &&
 		m.cache.WasEverResident(req.Offset, req.Size) {
-		m.rejected++
-		m.rec.Rejected(metrics.RMittCache, req, missCost, false)
 		m.cache.Prefetch(req.Offset, req.Size, req.Class, req.Priority, req.Proc)
-		m.replies.deliver(m.eng, m.opt.SyscallCost, onDone, &BusyError{PredictedWait: missCost})
+		m.k.reject(req, onDone, missCost, false)
 		return
 	}
 
 	// Propagate the deadline to the IO layer below (§4.4), reading whole
 	// pages and populating the cache on success.
-	m.accepted++
-	m.rec.Incr(metrics.RMittCache, metrics.CAccepted)
+	m.k.accepted++
+	m.k.rec.Incr(metrics.RMittCache, metrics.CAccepted)
 	op := sim.Acquire(&m.misses)
 	op.m, op.req, op.onDone = m, req, onDone
 	m.lower.SubmitSLO(req, op.fn)

@@ -27,11 +27,8 @@ import (
 // steady state: entries are pooled, buckets are pooled intrusive rings,
 // and the request→entry index is the request's SchedPriv back-pointer.
 type MittCFQ struct {
-	eng   *sim.Engine
+	kernel
 	sched *iosched.CFQ
-	prof  *disk.Profile
-	opt   Options
-	dec   decider
 
 	// mirror models the device-resident IOs (the dispatched quantum) with
 	// the same SSTF replay MittNoop uses; CFQ-queued IOs are accounted via
@@ -51,15 +48,7 @@ type MittCFQ struct {
 	entryFree        *cfqEntry // pooled entries, chained via olNext
 	victims          []*cfqEntry
 
-	accepted  uint64
-	rejected  uint64 // at admission
-	cancelled uint64 // late EBUSY via the tolerable-time table
-
-	replies busyReplies
-	ops     sim.Freelist[cfqOp]
-	disps   sim.Freelist[cfqDispatch]
-
-	rec *metrics.Recorder
+	ops sim.Freelist[cfqOp]
 }
 
 // cfqOp is the pooled admission-side completion context. Until the IO
@@ -67,23 +56,17 @@ type MittCFQ struct {
 // and late-cancellation paths can reclaim it (and its entry) when the
 // completion callback will never fire.
 type cfqOp struct {
-	m       *MittCFQ
-	entry   *cfqEntry
-	hasSLO  bool
-	rawBusy bool
-	wait    time.Duration
-	svc     time.Duration
-	prev    func(*blockio.Request)
-	onDone  func(error)
-	fn      func(*blockio.Request) // pre-bound op.done
+	m     *MittCFQ
+	entry *cfqEntry
+	verdict
+	fn func(*blockio.Request) // pre-bound op.done
 }
 
 func (op *cfqOp) Bind() { op.fn = op.done }
 
 func (op *cfqOp) done(r *blockio.Request) {
-	m, entry, prev, onDone := op.m, op.entry, op.prev, op.onDone
-	hasSLO, rawBusy, wait, svc := op.hasSLO, op.rawBusy, op.wait, op.svc
-	op.entry, op.prev, op.onDone = nil, nil, nil
+	m, entry, v := op.m, op.entry, op.verdict
+	op.entry, op.verdict = nil, verdict{}
 	m.ops.Release(op)
 	if entry != nil {
 		if entry.done {
@@ -93,55 +76,24 @@ func (op *cfqOp) done(r *blockio.Request) {
 		}
 		m.putEntry(entry)
 	}
-	if hasSLO && m.dec.shadow {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.dec.observe(rawBusy, wait, actualWait, r.Deadline)
-	}
-	if m.rec != nil {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.rec.Prediction(metrics.RMittCFQ, r, wait, actualWait)
-	}
-	err := r.Err
-	if prev != nil {
-		prev(r)
-	}
-	onDone(err)
+	m.complete(&v, r)
 }
 
-// cfqDispatch is the pooled dispatch-side wrapper feeding the device mirror.
-type cfqDispatch struct {
-	m    *MittCFQ
-	prev func(*blockio.Request)
-	fn   func(*blockio.Request) // pre-bound d.done
+// unwind detaches op from a request that will never complete — dropped by
+// the scheduler or cancelled late — restoring its previous completion hook
+// and recycling the op.
+func (m *MittCFQ) unwind(req *blockio.Request, op *cfqOp) {
+	req.OnComplete = op.prev
+	req.SchedPriv = nil
+	op.entry, op.verdict = nil, verdict{}
+	m.ops.Release(op)
 }
-
-func (d *cfqDispatch) Bind() { d.fn = d.done }
-
-func (d *cfqDispatch) done(r *blockio.Request) {
-	m, prev := d.m, d.prev
-	d.prev = nil
-	m.disps.Release(d)
-	m.mirror.complete(r)
-	if prev != nil {
-		prev(r)
-	}
-}
-
-// SetRecorder attaches a metrics recorder (nil disables, the default).
-func (m *MittCFQ) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
 
 // cfqEntry is one accepted, still-cancellable, deadline-carrying IO. It is
 // pooled: alive from admission until its op completes, its request drops,
 // or its late cancellation succeeds.
 type cfqEntry struct {
 	req       *blockio.Request
-	onDone    func(error)
 	op        *cfqOp
 	tolerable time.Duration
 	class     blockio.Class
@@ -166,30 +118,15 @@ type cfqBucket struct {
 // NewMittCFQ builds the layer over a CFQ scheduler and a disk profile.
 func NewMittCFQ(eng *sim.Engine, sched *iosched.CFQ, prof *disk.Profile, opt Options) *MittCFQ {
 	m := &MittCFQ{
-		eng: eng, sched: sched, prof: prof, opt: opt,
+		kernel:  newKernel(eng, metrics.RMittCFQ, opt),
+		sched:   sched,
 		mirror:  newSSTFMirror(eng, prof, opt.Calibrate),
 		buckets: make(map[int64]*cfqBucket),
 	}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
 	sched.SetDispatchHook(m.onDispatch)
 	sched.SetDropHook(m.onDrop)
 	return m
 }
-
-// SetErrorInjection enables §7.7 fault injection.
-func (m *MittCFQ) SetErrorInjection(fnRate, fpRate float64, rng *sim.RNG) {
-	m.dec.injFN, m.dec.injFP, m.dec.injRNG = fnRate, fpRate, rng
-}
-
-// SetMiscalibration distorts every wait prediction to wait×scale + bias
-// (scale 0 = no scaling; (0,0) restores the calibrated predictor).
-func (m *MittCFQ) SetMiscalibration(bias time.Duration, scale float64) {
-	m.dec.misBias, m.dec.misScale = bias, scale
-}
-
-// Accuracy returns shadow-mode counters.
-func (m *MittCFQ) Accuracy() Accuracy { return m.dec.acc }
 
 // Counts returns accepted / rejected-at-admission / late-cancelled totals.
 func (m *MittCFQ) Counts() (accepted, rejected, cancelled uint64) {
@@ -205,45 +142,22 @@ func (m *MittCFQ) PredictWait(proc int, class blockio.Class) time.Duration {
 
 // SubmitSLO implements Target.
 func (m *MittCFQ) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
-	if req.SubmitTime == 0 {
-		req.SubmitTime = now
-	}
-	wait := m.dec.adjust(m.PredictWait(req.Proc, req.Class))
 	svc := m.mirror.svcTime(m.mirror.headPos, req.Offset, req.Size)
-	req.PredictedWait = wait
-	req.PredictedService = svc
-
-	hasSLO := req.Deadline > blockio.NoDeadline
-	rawBusy := hasSLO && wait > m.dec.threshold(req.Deadline)
-	if hasSLO {
-		if m.dec.shadow {
-			req.ShadowBusy = rawBusy
-			if rawBusy {
-				m.rec.ShadowBusy(metrics.RMittCFQ)
-			}
-		} else if m.dec.rejects(rawBusy) {
-			m.rejected++
-			m.rec.Rejected(metrics.RMittCFQ, req, wait, false)
-			m.replies.deliver(m.eng, m.opt.SyscallCost, onDone, &BusyError{PredictedWait: wait})
-			return
-		}
+	v, ok := m.admit(req, m.PredictWait(req.Proc, req.Class), svc, onDone)
+	if !ok {
+		return
 	}
-
-	m.accepted++
-	m.rec.Admitted(metrics.RMittCFQ, req)
 	m.sched.AddProcCharge(req.Proc, svc)
 
 	op := sim.Acquire(&m.ops)
-	op.m, op.hasSLO, op.rawBusy, op.wait, op.svc = m, hasSLO, rawBusy, wait, svc
-	op.prev, op.onDone = req.OnComplete, onDone
+	op.m, op.verdict = m, v
 
 	var entry *cfqEntry
-	if hasSLO && !m.dec.shadow {
+	if v.hasSLO && !m.shadow {
 		// Track the IO in the tolerable-time table until dispatch.
 		entry = m.getEntry()
-		entry.req, entry.onDone, entry.op = req, onDone, op
-		entry.tolerable = m.dec.threshold(req.Deadline) - wait
+		entry.req, entry.op = req, op
+		entry.tolerable = m.threshold(req.Deadline) - v.wait
 		entry.class, entry.prio, entry.svc = req.Class, req.Priority, svc
 		m.bucketAdd(entry, bucketOf(entry.tolerable))
 		m.orderAppend(entry)
@@ -271,10 +185,7 @@ func (m *MittCFQ) onDispatch(req *blockio.Request) {
 			m.dropEntry(op.entry)
 		}
 	}
-	m.mirror.add(req)
-	d := sim.Acquire(&m.disps)
-	d.m, d.prev = m, req.OnComplete
-	req.OnComplete = d.fn
+	m.mirror.track(req)
 }
 
 // onDrop fires when the scheduler discards a request revoked by its owner
@@ -283,14 +194,11 @@ func (m *MittCFQ) onDispatch(req *blockio.Request) {
 func (m *MittCFQ) onDrop(req *blockio.Request) {
 	m.sched.ReleaseProcCharge(req.Proc, req.PredictedService)
 	if op, ok := req.SchedPriv.(*cfqOp); ok {
-		req.SchedPriv = nil
-		req.OnComplete = op.prev
 		if e := op.entry; e != nil {
 			m.dropEntry(e)
 			m.putEntry(e)
 		}
-		op.entry, op.prev, op.onDone = nil, nil, nil
-		m.ops.Release(op)
+		m.unwind(req, op)
 	}
 }
 
@@ -453,7 +361,7 @@ func (m *MittCFQ) cancel(e *cfqEntry) {
 	if e.done {
 		return
 	}
-	if !m.dec.rejects(true) {
+	if !m.rejects(true) {
 		// Injected false negative (§7.7): the cancellation verdict is
 		// suppressed and the IO continues; stop tracking it. The entry
 		// stays with its op until the IO completes.
@@ -471,17 +379,9 @@ func (m *MittCFQ) cancel(e *cfqEntry) {
 	req := e.req
 	req.Cancel()
 	m.sched.ReleaseProcCharge(req.Proc, e.svc)
-	m.cancelled++
-	busyErr := &BusyError{PredictedWait: -e.tolerable + req.Deadline}
-	m.rec.Rejected(metrics.RMittCFQ, req, busyErr.PredictedWait, true)
-	m.replies.deliver(m.eng, m.opt.SyscallCost, e.onDone, busyErr)
+	m.reject(req, e.op.onDone, -e.tolerable+req.Deadline, true)
 	// The removed IO never dispatches, so its completion callback never
 	// fires: unwind it and reclaim the op and entry.
-	if op := e.op; op != nil {
-		req.OnComplete = op.prev
-		req.SchedPriv = nil
-		op.entry, op.prev, op.onDone = nil, nil, nil
-		m.ops.Release(op)
-	}
+	m.unwind(req, e.op)
 	m.putEntry(e)
 }

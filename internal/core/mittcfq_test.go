@@ -254,8 +254,9 @@ func checkPoolDrained[T any, P sim.Binder[T]](t *testing.T, name string, f *sim.
 
 // TestMittCFQPoolsDrainAcrossTerminals drives one MittCFQ through all four
 // ways an IO leaves it — completion, fast reject, late cancel, and a
-// revoked IO the scheduler drops before dispatch — and checks that the op
-// and dispatch pools get every context back exactly once.
+// revoked IO the scheduler drops before dispatch — and checks that the op,
+// dispatch-wrapper, mirror-entry and EBUSY-reply pools get every context
+// back exactly once.
 func TestMittCFQPoolsDrainAcrossTerminals(t *testing.T) {
 	r := newCFQRig(t, DefaultOptions())
 	noise := func(n, prio int, stride int64) {
@@ -307,9 +308,11 @@ func TestMittCFQPoolsDrainAcrossTerminals(t *testing.T) {
 	}
 
 	checkPoolDrained(t, "ops", &r.mitt.ops)
-	checkPoolDrained(t, "disps", &r.mitt.disps)
+	checkPoolDrained(t, "mirror wraps", &r.mitt.mirror.wraps)
+	checkPoolDrained(t, "mirror entries", &r.mitt.mirror.entries)
 	checkPoolDrained(t, "replies", &r.mitt.replies.pool)
-	if r.mitt.ops.Len() == 0 || r.mitt.disps.Len() == 0 {
-		t.Fatalf("pools never used: ops %d, disps %d parked", r.mitt.ops.Len(), r.mitt.disps.Len())
+	if r.mitt.ops.Len() == 0 || r.mitt.mirror.wraps.Len() == 0 || r.mitt.replies.pool.Len() == 0 {
+		t.Fatalf("pools never used: ops %d, wraps %d, replies %d parked",
+			r.mitt.ops.Len(), r.mitt.mirror.wraps.Len(), r.mitt.replies.pool.Len())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"mittos/internal/blockio"
 	"mittos/internal/disk"
 	"mittos/internal/iosched"
+	"mittos/internal/metrics"
 	"mittos/internal/sim"
 )
 
@@ -18,58 +19,72 @@ import (
 // device-resident work; MittDeadline keeps that total as a running O(1)
 // accumulator (reads only — queued writes can be starved behind it).
 type MittDeadline struct {
-	eng   *sim.Engine
-	sched *iosched.DeadlineSched
-	prof  *disk.Profile
-	opt   Options
-	dec   decider
-
+	// k is held by name, not embedded: MittDeadline has no metrics
+	// resource and no injection knobs, so it forwards only Accuracy and
+	// Counts.
+	k      kernel
+	sched  *iosched.DeadlineSched
 	mirror *sstfMirror
 
 	// queueTotal tracks the predicted service time of scheduler-held
 	// requests per direction (0=read, 1=write).
 	queueTotal [2]time.Duration
 
-	accepted uint64
-	rejected uint64
+	ops sim.Freelist[dlOp]
+}
+
+// dlOp is the pooled per-IO completion context.
+type dlOp struct {
+	m *MittDeadline
+	verdict
+	fn func(*blockio.Request) // pre-bound op.done
+}
+
+func (op *dlOp) Bind() { op.fn = op.done }
+
+func (op *dlOp) done(r *blockio.Request) {
+	m, v := op.m, op.verdict
+	op.verdict = verdict{}
+	m.ops.Release(op)
+	m.k.complete(&v, r)
 }
 
 // NewMittDeadline builds the layer over a deadline scheduler.
 func NewMittDeadline(eng *sim.Engine, sched *iosched.DeadlineSched,
 	prof *disk.Profile, opt Options) *MittDeadline {
 	m := &MittDeadline{
-		eng: eng, sched: sched, prof: prof, opt: opt,
+		k:      newKernel(eng, metrics.RNode, opt), // no recorder attaches
+		sched:  sched,
 		mirror: newSSTFMirror(eng, prof, opt.Calibrate),
 	}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
-	sched.SetDispatchHook(func(req *blockio.Request) {
-		dir := 0
-		if req.Op == blockio.Write {
-			dir = 1
-		}
-		if t := m.queueTotal[dir] - req.PredictedService; t > 0 {
-			m.queueTotal[dir] = t
-		} else {
-			m.queueTotal[dir] = 0
-		}
-		m.mirror.add(req)
-		prev := req.OnComplete
-		req.OnComplete = func(r *blockio.Request) {
-			m.mirror.complete(r)
-			if prev != nil {
-				prev(r)
-			}
-		}
-	})
+	sched.SetDispatchHook(m.onDispatch)
 	return m
 }
 
+// onDispatch moves an IO's predicted service from the scheduler total to
+// the device mirror.
+func (m *MittDeadline) onDispatch(req *blockio.Request) {
+	dir := dirOf(req)
+	if t := m.queueTotal[dir] - req.PredictedService; t > 0 {
+		m.queueTotal[dir] = t
+	} else {
+		m.queueTotal[dir] = 0
+	}
+	m.mirror.track(req)
+}
+
+func dirOf(req *blockio.Request) int {
+	if req.Op == blockio.Write {
+		return 1
+	}
+	return 0
+}
+
 // Accuracy returns shadow-mode counters.
-func (m *MittDeadline) Accuracy() Accuracy { return m.dec.acc }
+func (m *MittDeadline) Accuracy() Accuracy { return m.k.Accuracy() }
 
 // Counts returns accepted/rejected totals.
-func (m *MittDeadline) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
+func (m *MittDeadline) Counts() (accepted, rejected uint64) { return m.k.Counts() }
 
 // PredictWait estimates a new read's queueing delay: device drain + all
 // queued reads (they sort ahead or behind, but the batch visits everything
@@ -87,48 +102,15 @@ func (m *MittDeadline) PredictWait() time.Duration {
 
 // SubmitSLO implements Target.
 func (m *MittDeadline) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
-	if req.SubmitTime == 0 {
-		req.SubmitTime = now
-	}
-	wait := m.PredictWait()
 	svc := m.mirror.svcTime(m.mirror.headPos, req.Offset, req.Size)
-	req.PredictedWait = wait
-	req.PredictedService = svc
-
-	hasSLO := req.Deadline > blockio.NoDeadline
-	rawBusy := hasSLO && wait > m.dec.threshold(req.Deadline)
-	if hasSLO {
-		if m.dec.shadow {
-			req.ShadowBusy = rawBusy
-		} else if m.dec.rejects(rawBusy) {
-			m.rejected++
-			busyErr := &BusyError{PredictedWait: wait}
-			m.eng.After(m.opt.SyscallCost, func() { onDone(busyErr) })
-			return
-		}
+	v, ok := m.k.admit(req, m.PredictWait(), svc, onDone)
+	if !ok {
+		return
 	}
+	m.queueTotal[dirOf(req)] += svc
 
-	m.accepted++
-	dir := 0
-	if req.Op == blockio.Write {
-		dir = 1
-	}
-	m.queueTotal[dir] += svc
-
-	prev := req.OnComplete
-	req.OnComplete = func(r *blockio.Request) {
-		if hasSLO && m.dec.shadow {
-			actualWait := r.Latency() - svc
-			if actualWait < 0 {
-				actualWait = 0
-			}
-			m.dec.observe(rawBusy, wait, actualWait, r.Deadline)
-		}
-		if prev != nil {
-			prev(r)
-		}
-		onDone(nil)
-	}
+	op := sim.Acquire(&m.ops)
+	op.m, op.verdict = m, v
+	req.OnComplete = op.fn
 	m.sched.Submit(req)
 }

@@ -25,47 +25,34 @@ import (
 // TnextFree accumulator with no SSTF modeling — the "without our precision
 // improvements" ablation of §7.6, whose inaccuracy is dramatically higher.
 type MittNoop struct {
-	eng    *sim.Engine
+	kernel
 	sched  *iosched.Noop
 	prof   *disk.Profile
 	opt    Options
-	dec    decider
 	mirror *sstfMirror
 
 	// Naive-mode state (Options.Naive).
 	nextFree sim.Time
 	lastTail int64
 
-	accepted uint64
-	rejected uint64
-
-	replies busyReplies
-	ops     sim.Freelist[noopOp]
-
-	rec *metrics.Recorder
+	ops sim.Freelist[noopOp]
 }
 
-// noopOp is the pooled per-IO completion context: calibration inputs and
-// the caller's callbacks, with the OnComplete wrapper bound once.
+// noopOp is the pooled per-IO completion context: the admission verdict
+// plus the naive predictor's calibration input, with the OnComplete
+// wrapper bound once.
 type noopOp struct {
-	m              *MittNoop
+	m *MittNoop
+	verdict
 	predCompletion sim.Time
-	hasSLO         bool
-	rawBusy        bool
-	wait           time.Duration
-	svc            time.Duration
-	prev           func(*blockio.Request)
-	onDone         func(error)
 	fn             func(*blockio.Request) // pre-bound op.done
 }
 
 func (op *noopOp) Bind() { op.fn = op.done }
 
 func (op *noopOp) done(r *blockio.Request) {
-	m, prev, onDone := op.m, op.prev, op.onDone
-	predCompletion, hasSLO, rawBusy := op.predCompletion, op.hasSLO, op.rawBusy
-	wait, svc := op.wait, op.svc
-	op.prev, op.onDone = nil, nil
+	m, v, predCompletion := op.m, op.verdict, op.predCompletion
+	op.verdict = verdict{}
 	m.ops.Release(op)
 	if m.opt.Naive {
 		if m.opt.Calibrate {
@@ -78,56 +65,15 @@ func (op *noopOp) done(r *blockio.Request) {
 	} else {
 		m.mirror.complete(r)
 	}
-	if hasSLO && m.dec.shadow {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.dec.observe(rawBusy, wait, actualWait, r.Deadline)
-	}
-	if m.rec != nil {
-		actualWait := r.Latency() - svc
-		if actualWait < 0 {
-			actualWait = 0
-		}
-		m.rec.Prediction(metrics.RMittNoop, r, wait, actualWait)
-	}
-	err := r.Err
-	if prev != nil {
-		prev(r)
-	}
-	onDone(err)
+	m.complete(&v, r)
 }
-
-// SetRecorder attaches a metrics recorder (nil disables, the default).
-func (m *MittNoop) SetRecorder(rec *metrics.Recorder) { m.rec = rec }
 
 // NewMittNoop builds the layer over a noop scheduler and its disk profile.
 func NewMittNoop(eng *sim.Engine, sched *iosched.Noop, prof *disk.Profile, opt Options) *MittNoop {
-	m := &MittNoop{eng: eng, sched: sched, prof: prof, opt: opt,
+	return &MittNoop{kernel: newKernel(eng, metrics.RMittNoop, opt),
+		sched: sched, prof: prof, opt: opt,
 		mirror: newSSTFMirror(eng, prof, opt.Calibrate)}
-	m.dec.thop = opt.Thop
-	m.dec.shadow = opt.Shadow
-	return m
 }
-
-// SetErrorInjection enables §7.7 fault injection.
-func (m *MittNoop) SetErrorInjection(fnRate, fpRate float64, rng *sim.RNG) {
-	m.dec.injFN, m.dec.injFP, m.dec.injRNG = fnRate, fpRate, rng
-}
-
-// SetMiscalibration distorts every wait prediction to wait×scale + bias
-// (scale 0 = no scaling; (0,0) restores the calibrated predictor). This is
-// the §8.1 stale-profile fault: the predictor is wrong in a structured way.
-func (m *MittNoop) SetMiscalibration(bias time.Duration, scale float64) {
-	m.dec.misBias, m.dec.misScale = bias, scale
-}
-
-// Accuracy returns shadow-mode counters.
-func (m *MittNoop) Accuracy() Accuracy { return m.dec.acc }
-
-// Counts returns accepted/rejected totals.
-func (m *MittNoop) Counts() (accepted, rejected uint64) { return m.accepted, m.rejected }
 
 // ProfileDrift returns the calibration layer's running residual — the
 // §8.1 staleness signal. A healthy profile keeps it near zero; sustained
@@ -180,10 +126,6 @@ func (m *MittNoop) PredictWaitFor(off int64, sz int) time.Duration {
 
 // SubmitSLO implements Target.
 func (m *MittNoop) SubmitSLO(req *blockio.Request, onDone func(error)) {
-	now := m.eng.Now()
-	if req.SubmitTime == 0 {
-		req.SubmitTime = now
-	}
 	var wait, svc time.Duration
 	if m.opt.Naive {
 		wait = m.PredictWait()
@@ -192,33 +134,13 @@ func (m *MittNoop) SubmitSLO(req *blockio.Request, onDone func(error)) {
 		wait = m.mirror.waitFor(req.Offset, req.Size)
 		svc = m.mirror.svcTime(m.mirror.headPos, req.Offset, req.Size)
 	}
-	wait = m.dec.adjust(wait)
-	req.PredictedWait = wait
-	req.PredictedService = svc
-
-	hasSLO := req.Deadline > blockio.NoDeadline
-	rawBusy := hasSLO && wait > m.dec.threshold(req.Deadline)
-	if hasSLO {
-		if m.dec.shadow {
-			req.ShadowBusy = rawBusy
-			if rawBusy {
-				m.rec.ShadowBusy(metrics.RMittNoop)
-			}
-		} else if m.dec.rejects(rawBusy) {
-			// Fast rejection: the IO is never queued (§3.3 "the rejected
-			// request is not queued; it is automatically cancelled").
-			m.rejected++
-			m.rec.Rejected(metrics.RMittNoop, req, wait, false)
-			m.replies.deliver(m.eng, m.opt.SyscallCost, onDone, &BusyError{PredictedWait: wait})
-			return
-		}
+	v, ok := m.admit(req, wait, svc, onDone)
+	if !ok {
+		return
 	}
-
-	m.accepted++
-	m.rec.Admitted(metrics.RMittNoop, req)
 	var predCompletion sim.Time
 	if m.opt.Naive {
-		if m.nextFree < now {
+		if now := m.eng.Now(); m.nextFree < now {
 			// Idle disk: automatic recalibration (TnextFree = Tnow + Tprocess).
 			m.nextFree = now
 		}
@@ -230,9 +152,7 @@ func (m *MittNoop) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	}
 
 	op := sim.Acquire(&m.ops)
-	op.m, op.predCompletion, op.hasSLO, op.rawBusy = m, predCompletion, hasSLO, rawBusy
-	op.wait, op.svc = wait, svc
-	op.prev, op.onDone = req.OnComplete, onDone
+	op.m, op.verdict, op.predCompletion = m, v, predCompletion
 	req.OnComplete = op.fn
 	m.sched.Submit(req)
 }

@@ -25,8 +25,6 @@ import (
 type MittSMR struct {
 	noop  *MittNoop
 	drive *smr.Drive
-	eng   *sim.Engine
-	opt   Options
 
 	cleanBusyUntil sim.Time
 
@@ -39,8 +37,6 @@ func NewMittSMR(eng *sim.Engine, sched *iosched.Noop, drive *smr.Drive,
 	m := &MittSMR{
 		noop:  NewMittNoop(eng, sched, prof, opt),
 		drive: drive,
-		eng:   eng,
-		opt:   opt,
 	}
 	drive.SetCleanStartHook(func(band int64, est time.Duration) {
 		until := eng.Now().Add(est)
@@ -54,7 +50,7 @@ func NewMittSMR(eng *sim.Engine, sched *iosched.Noop, drive *smr.Drive,
 // CleanRemaining returns the predicted residual of the in-progress band
 // clean (0 when idle).
 func (m *MittSMR) CleanRemaining() time.Duration {
-	now := m.eng.Now()
+	now := m.noop.eng.Now()
 	if m.cleanBusyUntil <= now {
 		return 0
 	}
@@ -83,28 +79,19 @@ func (m *MittSMR) cleanPenalty() time.Duration {
 }
 
 // Counts returns (accepted, rejected) totals, including clean-rejections.
-func (m *MittSMR) Counts() (accepted, rejected uint64) {
-	a, r := m.noop.Counts()
-	return a, r + m.rejectedByClean
-}
+func (m *MittSMR) Counts() (accepted, rejected uint64) { return m.noop.Counts() }
 
 // RejectedByClean returns rejections attributable to band cleaning alone.
 func (m *MittSMR) RejectedByClean() uint64 { return m.rejectedByClean }
 
-// PredictWaitFor combines the queue estimate with the clean penalty.
-func (m *MittSMR) PredictWaitFor(off int64, sz int) time.Duration {
-	return m.noop.PredictWaitFor(off, sz) + m.cleanPenalty()
-}
-
 // SubmitSLO implements Target.
 func (m *MittSMR) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	if req.Deadline > blockio.NoDeadline && req.Op == blockio.Read {
-		if c := m.cleanPenalty(); c > req.Deadline+m.opt.Thop {
+		if c := m.cleanPenalty(); c > m.noop.threshold(req.Deadline) {
 			// The drive is mid-clean and will not surface this read in
 			// time: fast rejection without queueing.
 			m.rejectedByClean++
-			busyErr := &BusyError{PredictedWait: c}
-			m.eng.After(m.opt.SyscallCost, func() { onDone(busyErr) })
+			m.noop.reject(req, onDone, c, false)
 			return
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"mittos/internal/blockio"
+	"mittos/internal/metrics"
 	"mittos/internal/sim"
 )
 
@@ -18,14 +19,12 @@ import (
 // deadlines for the inner layer). Tenants without a contract are never
 // throughput-limited.
 type ThroughputSLO struct {
-	eng   *sim.Engine
+	// k supplies the counts and the EBUSY reply; it is held by name
+	// because no deadline verdict is made at this layer.
+	k     kernel
 	inner Target
-	opt   Options
 
 	buckets map[int]*tokenBucket
-
-	accepted uint64
-	rejected uint64
 }
 
 // tokenBucket refills continuously at `rate` IOPS up to `burst` tokens.
@@ -53,7 +52,7 @@ func (b *tokenBucket) take(now sim.Time) bool {
 // NewThroughputSLO wraps inner with throughput admission.
 func NewThroughputSLO(eng *sim.Engine, inner Target, opt Options) *ThroughputSLO {
 	return &ThroughputSLO{
-		eng: eng, inner: inner, opt: opt,
+		k: newKernel(eng, metrics.RNode, opt), inner: inner, // no recorder attaches
 		buckets: make(map[int]*tokenBucket),
 	}
 }
@@ -70,14 +69,12 @@ func (t *ThroughputSLO) SetContract(proc int, iops float64, burst int) {
 	}
 	t.buckets[proc] = &tokenBucket{
 		rate: iops, burst: float64(burst), tokens: float64(burst),
-		last: t.eng.Now(),
+		last: t.k.eng.Now(),
 	}
 }
 
 // Counts returns accepted/rejected totals at this layer.
-func (t *ThroughputSLO) Counts() (accepted, rejected uint64) {
-	return t.accepted, t.rejected
-}
+func (t *ThroughputSLO) Counts() (accepted, rejected uint64) { return t.k.Counts() }
 
 // Remaining reports the tenant's current token balance (diagnostics).
 func (t *ThroughputSLO) Remaining(proc int) float64 {
@@ -86,7 +83,7 @@ func (t *ThroughputSLO) Remaining(proc int) float64 {
 		return -1
 	}
 	// Peek without consuming.
-	now := t.eng.Now()
+	now := t.k.eng.Now()
 	tokens := b.tokens + now.Sub(b.last).Seconds()*b.rate
 	if tokens > b.burst {
 		tokens = b.burst
@@ -97,16 +94,13 @@ func (t *ThroughputSLO) Remaining(proc int) float64 {
 // SubmitSLO implements Target.
 func (t *ThroughputSLO) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	if b, ok := t.buckets[req.Proc]; ok {
-		if !b.take(t.eng.Now()) {
-			t.rejected++
+		if !b.take(t.k.eng.Now()) {
 			// The predicted wait is the time until the next token.
 			deficit := 1 - b.tokens
-			wait := time.Duration(deficit / b.rate * float64(time.Second))
-			busyErr := &BusyError{PredictedWait: wait}
-			t.eng.After(t.opt.SyscallCost, func() { onDone(busyErr) })
+			t.k.reject(req, onDone, time.Duration(deficit/b.rate*float64(time.Second)), false)
 			return
 		}
 	}
-	t.accepted++
+	t.k.accepted++
 	t.inner.SubmitSLO(req, onDone)
 }

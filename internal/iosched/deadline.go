@@ -54,6 +54,28 @@ type DeadlineSched struct {
 	dispatched uint64
 
 	dispatchHook func(*blockio.Request)
+	disps        sim.Freelist[deadlineDisp]
+}
+
+// deadlineDisp is the pooled on-device completion wrapper installed at
+// dispatch: it frees the device slot and refills it.
+type deadlineDisp struct {
+	d    *DeadlineSched
+	prev func(*blockio.Request)
+	fn   func(*blockio.Request) // pre-bound w.done
+}
+
+func (w *deadlineDisp) Bind() { w.fn = w.done }
+
+func (w *deadlineDisp) done(r *blockio.Request) {
+	d, prev := w.d, w.prev
+	w.prev = nil
+	d.disps.Release(w)
+	d.onDevice--
+	if prev != nil {
+		prev(r)
+	}
+	d.pump()
 }
 
 // NewDeadline builds the scheduler over the device.
@@ -146,14 +168,9 @@ func (d *DeadlineSched) pump() {
 		}
 		d.dispatched++
 		d.onDevice++
-		prev := req.OnComplete
-		req.OnComplete = func(r *blockio.Request) {
-			d.onDevice--
-			if prev != nil {
-				prev(r)
-			}
-			d.pump()
-		}
+		w := sim.Acquire(&d.disps)
+		w.d, w.prev = d, req.OnComplete
+		req.OnComplete = w.fn
 		if d.dispatchHook != nil {
 			d.dispatchHook(req)
 		}

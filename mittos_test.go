@@ -1,8 +1,12 @@
 package mittos
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"mittos/internal/blockio"
+	"mittos/internal/sim"
 )
 
 func TestStackReadIdleDiskAccepts(t *testing.T) {
@@ -258,5 +262,28 @@ func TestStackWriteCompletes(t *testing.T) {
 	eng.Run()
 	if !done {
 		t.Fatal("write never completed")
+	}
+}
+
+// TestStackMittDeliversDeviceErrors: every Mitt disk layer hands an
+// injected device EIO to the caller of an admitted deadline read, exactly
+// as the vanilla stack does.
+func TestStackMittDeliversDeviceErrors(t *testing.T) {
+	for _, sched := range []struct {
+		name string
+		kind SchedulerKind
+	}{{"noop", SchedulerNoop}, {"cfq", SchedulerCFQ}, {"deadline", SchedulerDeadline}} {
+		t.Run(sched.name, func(t *testing.T) {
+			eng := NewEngine()
+			s := NewStack(eng, StackConfig{Device: DeviceDisk, Scheduler: sched.kind, Mitt: true, Seed: 1})
+			s.Disk.SetErrorInjection(1.0, sim.NewRNG(1, "stack-eio"))
+			var err error
+			calls := 0
+			s.Read(100<<30, 4096, 30*time.Millisecond, func(e error) { err = e; calls++ })
+			eng.Run()
+			if calls != 1 || !errors.Is(err, blockio.ErrIO) {
+				t.Fatalf("%s read: %d callbacks, last error %v; want one ErrIO", sched.name, calls, err)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mittos/internal/blockio"
+	"mittos/internal/cluster"
 	"mittos/internal/core"
 	"mittos/internal/disk"
 	"mittos/internal/iosched"
@@ -75,7 +76,6 @@ type Stack struct {
 	Cache *oscache.Cache
 
 	target core.Target
-	block  core.Target // block-layer entry under the cache
 
 	mittNoop     *core.MittNoop
 	mittCFQ      *core.MittCFQ
@@ -145,13 +145,11 @@ func NewStack(eng *Engine, cfg StackConfig) *Stack {
 			}
 		}
 	}
-	s.block = ioTarget
-
 	s.target = ioTarget
 	if cfg.CachePages > 0 {
 		ccfg := oscache.DefaultConfig()
 		ccfg.CapacityPages = cfg.CachePages
-		s.Cache = oscache.New(eng, ccfg, &targetDevice{t: ioTarget})
+		s.Cache = oscache.New(eng, ccfg, &cluster.TargetDevice{T: ioTarget})
 		if cfg.Mitt {
 			s.mittCache = core.NewMittCache(eng, s.Cache, ioTarget, minIO, opt)
 			s.target = s.mittCache
@@ -161,21 +159,6 @@ func NewStack(eng *Engine, cfg StackConfig) *Stack {
 	}
 	return s
 }
-
-// targetDevice adapts a Target to blockio.Device for cache read-through.
-type targetDevice struct {
-	t        core.Target
-	inflight int
-}
-
-// Submit implements blockio.Device.
-func (d *targetDevice) Submit(req *blockio.Request) {
-	d.inflight++
-	d.t.SubmitSLO(req, func(error) { d.inflight-- })
-}
-
-// InFlight implements blockio.Device.
-func (d *targetDevice) InFlight() int { return d.inflight }
 
 // Target returns the stack's SLO-aware entry point for raw Request
 // submission.
