@@ -131,6 +131,21 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatalf("cached write allocates %.1f objects per IO; budget is 0", avg)
 		}
 	})
+	t.Run("NoopCachedMiss", func(t *testing.T) {
+		// The same miss read-through over the vanilla noop stack: the noop
+		// queue drains after every IO, so its next append must reuse the
+		// backing array.
+		submit := pooledStackSubmit(mittos.StackConfig{Device: mittos.DeviceDisk,
+			Scheduler: mittos.SchedulerNoop, CachePages: 64, Seed: 1})
+		page := int64(0)
+		next := func() int64 { page = (page + 1) % 512; return page << 30 }
+		for i := 0; i < 1024; i++ { // warm every pool on the path
+			submit(blockio.Read, next(), 0)
+		}
+		if avg := testing.AllocsPerRun(200, func() { submit(blockio.Read, next(), 0) }); avg != 0 {
+			t.Fatalf("noop cached miss read allocates %.1f objects per IO; budget is 0", avg)
+		}
+	})
 	t.Run("EngineSchedule", func(t *testing.T) {
 		eng := mittos.NewEngine()
 		// Warm the event freelist.

@@ -21,12 +21,8 @@ import (
 // Served/Rejected/Refused and the network's hop count, then drains the leg
 // with ReclaimStranded and hashes whatever that resolves too. No experiment
 // golden covers MittOS-consistent or RetryOverhead, so this is what keeps a
-// rewrite of the get path honest about them.
-//
-// The Tied legs pin a known defect as it stands: when the tied copy is
-// refused by a crashed node first and the first copy is refused after it,
-// neither reply decides and the get never completes (10 and 11 of the
-// 400 gets in the two legs).
+// rewrite of the get path honest about them. Every get a leg issues must
+// also finish.
 func TestGetStrategyDigest(t *testing.T) {
 	legs := []struct {
 		name string
@@ -37,10 +33,10 @@ func TestGetStrategyDigest(t *testing.T) {
 		{"AppTO", func(c *Cluster) Strategy { return &TimeoutStrategy{C: c, TO: 5 * time.Millisecond} }, "0394db05c2e59074"},
 		{"Clone", func(c *Cluster) Strategy { return &CloneStrategy{C: c, RNG: sim.NewRNG(9, "clone")} }, "b2a45d2bea00dbd4"},
 		{"Hedged", func(c *Cluster) Strategy { return &HedgedStrategy{C: c, HedgeAfter: 5 * time.Millisecond} }, "f3e516de5671ebe0"},
-		{"Tied", func(c *Cluster) Strategy { return &TiedStrategy{C: c, RNG: sim.NewRNG(9, "tied")} }, "6e3ea82fca0ccfce"},
+		{"Tied", func(c *Cluster) Strategy { return &TiedStrategy{C: c, RNG: sim.NewRNG(9, "tied")} }, "c9a04574e05adfe0"},
 		{"Tied-1ms", func(c *Cluster) Strategy {
 			return &TiedStrategy{C: c, RNG: sim.NewRNG(9, "tied"), Delay: time.Millisecond}
-		}, "ff420ed69c62f895"},
+		}, "f4a0f747540eb0f1"},
 		{"Snitch", func(c *Cluster) Strategy { return &SnitchStrategy{C: c} }, "1ae86deaa4113e96"},
 		{"C3", func(c *Cluster) Strategy { return &C3Strategy{C: c} }, "6583c2830243f16f"},
 		{"MittOS", func(c *Cluster) Strategy { return &MittOSStrategy{C: c, Deadline: 10 * time.Millisecond} }, "98a04dea82ce12cf"},
@@ -60,7 +56,10 @@ func TestGetStrategyDigest(t *testing.T) {
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
-			got := getStrategyDigest(leg.mk)
+			got, finished := getStrategyDigest(leg.mk)
+			if finished != digestGets {
+				t.Errorf("%d of %d gets finished", finished, digestGets)
+			}
 			if got != leg.want {
 				t.Errorf("digest = %s, want %s", got, leg.want)
 			}
@@ -68,11 +67,15 @@ func TestGetStrategyDigest(t *testing.T) {
 	}
 }
 
+// digestGets is the number of gets the digest scenario issues.
+const digestGets = 400
+
 // getStrategyDigest runs the digest scenario under one strategy and returns
-// the hex FNV-64a of everything it observed.
-func getStrategyDigest(mk func(c *Cluster) Strategy) string {
+// the hex FNV-64a of everything it observed and the number of gets that
+// finished.
+func getStrategyDigest(mk func(c *Cluster) Strategy) (string, int) {
 	const (
-		gets  = 400
+		gets  = digestGets
 		every = 250 * time.Microsecond
 		keys  = 60
 	)
@@ -150,7 +153,7 @@ func getStrategyDigest(mk func(c *Cluster) Strategy) string {
 		fmt.Fprintf(h, "node %d served %d rejected %d refused %d\n", i, n.Served(), n.Rejected(), n.Refused())
 	}
 	fmt.Fprintf(h, "hops %d\n", net.Sent())
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", h.Sum64()), finished
 }
 
 func writeGet(w io.Writer, i int, key int64, r GetResult) {

@@ -89,6 +89,7 @@ type getOp struct {
 	idx        int             // MittOS-consistent: replica index of the copy out
 	alt        int             // Tied: the node the delay timer's copy goes to
 	winner     int             // Tied: handle slot of the winning copy
+	refused    bool            // Tied: one copy was already refused by a crashed node
 	minVersion uint64          // MittOS-consistent: the session's version of the key
 	err        error           // MittOS: the refusal carried across RetryOverhead
 	waits      []time.Duration // MittOS: each replica's predicted wait
@@ -134,7 +135,7 @@ func (c *Cluster) newGet(pol getPolicy, key int64, onDone func(GetResult), waste
 	op := sim.Acquire(&c.pools.getOps)
 	op.begin(c, key, onDone)
 	op.pol, op.wasted, op.cancelled = pol, wasted, nil
-	op.sent, op.pending, op.fired, op.floor = 0, 0, 0, 0
+	op.sent, op.pending, op.fired, op.floor, op.refused = 0, 0, 0, 0, false
 	return op
 }
 

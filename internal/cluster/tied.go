@@ -69,10 +69,15 @@ func (s *TiedStrategy) onReply(op *getOp, cp *getCopy, err error) {
 		return
 	}
 	tries := cp.slot + 1
-	if errors.Is(err, ErrNodeDown) && (op.pending > 0 || tries == 1) {
-		// That node crashed mid-flight; the sibling (already out, or still
-		// to be sent by the delay timer) decides.
-		return
+	if errors.Is(err, ErrNodeDown) {
+		if !op.refused {
+			// That node crashed mid-flight; the sibling (already out, or
+			// still to be sent by the delay timer) decides.
+			op.refused = true
+			return
+		}
+		// The sibling was refused too: this last refusal decides.
+		tries = op.sent
 	}
 	op.win(tries, err)
 	// Cancellation message to the sibling: one network hop, then revoke

@@ -33,7 +33,9 @@ type MittDeadline struct {
 	ops sim.Freelist[dlOp]
 }
 
-// dlOp is the pooled per-IO completion context.
+// dlOp is the pooled per-IO completion context. Until the IO dispatches it
+// is reachable from the request via SchedPriv, so the drop path can reclaim
+// it when the completion callback will never fire.
 type dlOp struct {
 	m *MittDeadline
 	verdict
@@ -58,19 +60,38 @@ func NewMittDeadline(eng *sim.Engine, sched *iosched.DeadlineSched,
 		mirror: newSSTFMirror(eng, prof, opt.Calibrate),
 	}
 	sched.SetDispatchHook(m.onDispatch)
+	sched.SetDropHook(m.onDrop)
 	return m
 }
 
-// onDispatch moves an IO's predicted service from the scheduler total to
-// the device mirror.
-func (m *MittDeadline) onDispatch(req *blockio.Request) {
+// unqueue removes an IO's predicted service from the scheduler total.
+func (m *MittDeadline) unqueue(req *blockio.Request) {
 	dir := dirOf(req)
 	if t := m.queueTotal[dir] - req.PredictedService; t > 0 {
 		m.queueTotal[dir] = t
 	} else {
 		m.queueTotal[dir] = 0
 	}
+}
+
+// onDispatch moves an IO's predicted service from the scheduler total to
+// the device mirror.
+func (m *MittDeadline) onDispatch(req *blockio.Request) {
+	m.unqueue(req)
+	req.SchedPriv = nil
 	m.mirror.track(req)
+}
+
+// onDrop fires when the scheduler discards a request revoked by its owner
+// before dispatch: its charge leaves the scheduler total and its op is
+// reclaimed, restoring the request's previous completion hook.
+func (m *MittDeadline) onDrop(req *blockio.Request) {
+	m.unqueue(req)
+	if op, ok := req.SchedPriv.(*dlOp); ok {
+		req.OnComplete, req.SchedPriv = op.prev, nil
+		op.verdict = verdict{}
+		m.ops.Release(op)
+	}
 }
 
 func dirOf(req *blockio.Request) int {
@@ -112,5 +133,6 @@ func (m *MittDeadline) SubmitSLO(req *blockio.Request, onDone func(error)) {
 	op := sim.Acquire(&m.ops)
 	op.m, op.verdict = m, v
 	req.OnComplete = op.fn
+	req.SchedPriv = op
 	m.sched.Submit(req)
 }

@@ -112,3 +112,41 @@ func TestMittDeadlineShadowAccuracy(t *testing.T) {
 			100*acc.InaccuracyRate(), 100*acc.FalsePosRate(), 100*acc.FalseNegRate())
 	}
 }
+
+// TestMittDeadlineDropReleasesCharge revokes a queued read: the scheduler's
+// drop must hand the IO back to its owner exactly once, reclaim its op and
+// take its predicted service out of the queue total, so an idle disk
+// predicts no wait.
+func TestMittDeadlineDropReleasesCharge(t *testing.T) {
+	r := newDLRig(t, DefaultOptions())
+	var done, drops int
+	var last *blockio.Request
+	for i := 0; i < 4; i++ {
+		last = &blockio.Request{ID: r.ids.Next(), Op: blockio.Read,
+			Offset: int64(i+1) * (50 << 30), Size: 4096, Deadline: time.Second}
+		last.OnDrop = func(*blockio.Request) { drops++ }
+		r.mitt.SubmitSLO(last, func(err error) {
+			if err != nil {
+				t.Errorf("read: %v", err)
+			}
+			done++
+		})
+	}
+	if r.mitt.sched.QueueLen() == 0 {
+		t.Fatal("no read left queued to revoke")
+	}
+	last.Cancel()
+	r.eng.Run()
+	if done != 3 || drops != 1 {
+		t.Fatalf("completions = %d, drops = %d; want 3 and 1", done, drops)
+	}
+	if out := r.mitt.ops.Out(); out != 0 {
+		t.Fatalf("%d ops still out after the drain", out)
+	}
+	if r.mitt.queueTotal != [2]time.Duration{} {
+		t.Fatalf("queue total %v after the drain, want zero", r.mitt.queueTotal)
+	}
+	if w := r.mitt.PredictWait(); w != 0 {
+		t.Fatalf("idle-disk PredictWait = %v, want 0", w)
+	}
+}

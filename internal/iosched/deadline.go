@@ -54,6 +54,7 @@ type DeadlineSched struct {
 	dispatched uint64
 
 	dispatchHook func(*blockio.Request)
+	dropHook     func(*blockio.Request)
 	disps        sim.Freelist[deadlineDisp]
 }
 
@@ -96,6 +97,10 @@ func (d *DeadlineSched) Config() DeadlineConfig { return d.cfg }
 
 // SetDispatchHook registers a tap on device-bound requests.
 func (d *DeadlineSched) SetDispatchHook(fn func(*blockio.Request)) { d.dispatchHook = fn }
+
+// SetDropHook registers a tap invoked when a cancelled request is discarded
+// from the queues (so accounting layers can release its charge).
+func (d *DeadlineSched) SetDropHook(fn func(*blockio.Request)) { d.dropHook = fn }
 
 func dirOf(op blockio.Op) int {
 	if op == blockio.Write {
@@ -164,6 +169,10 @@ func (d *DeadlineSched) pump() {
 		}
 		d.queued--
 		if req.Canceled() {
+			if d.dropHook != nil {
+				d.dropHook(req)
+			}
+			req.Dropped()
 			continue
 		}
 		d.dispatched++

@@ -32,11 +32,14 @@ type Downstream interface {
 }
 
 // Noop is the FIFO scheduler: arriving IOs enter a dispatch queue whose
-// items are absorbed into the device queue as slots free up (§4.1).
+// items are absorbed into the device queue as slots free up (§4.1). The
+// queue is fifo[head:]: popping advances head, and the backing array is
+// reused once the queue drains, so steady-state IO allocates nothing.
 type Noop struct {
 	eng  *sim.Engine
 	down Downstream
 	fifo []*blockio.Request
+	head int
 	rec  *metrics.Recorder
 }
 
@@ -56,20 +59,31 @@ func (n *Noop) Submit(req *blockio.Request) {
 		req.SubmitTime = n.eng.Now()
 	}
 	n.rec.SchedEnter(metrics.RSchedNoop, req)
+	// Reclaim the consumed prefix once it dominates the slice, so appends
+	// reuse the backing array even when the queue never fully drains.
+	if n.head > 32 && n.head*2 >= len(n.fifo) {
+		k := copy(n.fifo, n.fifo[n.head:])
+		clear(n.fifo[k:])
+		n.fifo, n.head = n.fifo[:k], 0
+	}
 	n.fifo = append(n.fifo, req)
 	n.pump()
 }
 
 // InFlight implements blockio.Device.
-func (n *Noop) InFlight() int { return len(n.fifo) + n.down.InFlight() }
+func (n *Noop) InFlight() int { return n.QueueLen() + n.down.InFlight() }
 
 // QueueLen returns the dispatch-queue length (excludes device-queue IOs).
-func (n *Noop) QueueLen() int { return len(n.fifo) }
+func (n *Noop) QueueLen() int { return len(n.fifo) - n.head }
 
 func (n *Noop) pump() {
-	for n.down.CanAccept() && len(n.fifo) > 0 {
-		req := n.fifo[0]
-		n.fifo = n.fifo[1:]
+	for n.down.CanAccept() && n.head < len(n.fifo) {
+		req := n.fifo[n.head]
+		n.fifo[n.head] = nil
+		n.head++
+		if n.head == len(n.fifo) {
+			n.fifo, n.head = n.fifo[:0], 0
+		}
 		if req.Canceled() {
 			n.rec.SchedDrop(metrics.RSchedNoop, req)
 			req.Dropped()

@@ -11,6 +11,8 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -137,7 +139,6 @@ type Store struct {
 	mcache *core.MittCache // non-nil in mmap mode
 	ids    *blockio.IDGen
 
-	memtable map[int64]bool
 	runs     []*run  // newest first
 	mergePos []int64 // compaction's per-run merge cursors
 	alloc    int64   // bump allocator within the region
@@ -149,10 +150,18 @@ type Store struct {
 	reqs *blockio.Pool
 	bgs  sim.Freelist[bgWrite]
 	mems sim.Freelist[memOp]
-	// versions tracks each key's write count — the replication timestamp
-	// consistency-aware failover compares (§8.3). Keys absent from the
-	// map are at their preloaded base version 0.
-	versions map[int64]uint64
+
+	// Dense per-key state, indexed by key. Both arrays are allocated on the
+	// first write, sized from the key count Preload recorded (preloaded),
+	// and grow by doubling for inserts past it. mem is the memtable as a
+	// bitset holding memN set bits; versions is each key's write count —
+	// the replication timestamp consistency-aware failover compares
+	// (§8.3). A key past the arrays is not in the memtable and is at its
+	// preloaded base version 0.
+	preloaded int64
+	mem       []uint64
+	memN      int
+	versions  []uint32
 
 	// SLO put path: the group-commit queue of deadline-carrying puts
 	// awaiting a WAL append, the in-flight-group latch, and the group
@@ -195,10 +204,8 @@ func New(eng *sim.Engine, cfg Config, target core.Target, ids *blockio.IDGen) *S
 	}
 	return &Store{
 		eng: eng, cfg: cfg, target: target, ids: ids,
-		reqs:     reqs,
-		memtable: make(map[int64]bool),
-		versions: make(map[int64]uint64),
-		alloc:    cfg.RegionBase,
+		reqs:  reqs,
+		alloc: cfg.RegionBase,
 	}
 }
 
@@ -260,23 +267,86 @@ func (s *Store) Preload(n int64) {
 	}
 	r := &run{base: s.cfg.RegionBase, stride: stride, lo: 0, hi: n - 1, n: n}
 	s.runs = append([]*run{r}, s.runs...)
+	s.preloaded = max(s.preloaded, n)
 	if s.alloc < s.cfg.RegionBase+stride*n {
 		s.alloc = s.cfg.RegionBase + stride*n
 	}
 }
 
 // Version reports a key's current write count (0 for preloaded-only keys).
-func (s *Store) Version(key int64) uint64 { return s.versions[key] }
+func (s *Store) Version(key int64) uint64 {
+	if key < 0 || key >= int64(len(s.versions)) {
+		return 0
+	}
+	return uint64(s.versions[key])
+}
 
 // ApplyReplicated records that a replicated write at the given version has
 // been applied locally (replication apply is asynchronous in
 // eventually-consistent stores; only newer versions win). The simulation
 // does not carry payload bytes, so only the version metadata moves — reads
-// of the key still exercise the normal storage path.
+// of the key still exercise the normal storage path. Versions are kept as
+// uint32 write counts, so a version above MaxUint32 panics.
 func (s *Store) ApplyReplicated(key int64, version uint64) {
-	if version > s.versions[key] {
-		s.versions[key] = version
+	if version > math.MaxUint32 {
+		panic(fmt.Sprintf("kv: replicated version %d of key %d exceeds the uint32 write count", version, key))
 	}
+	if version > s.Version(key) {
+		s.reserve(key)
+		s.versions[key] = uint32(version)
+	}
+}
+
+// maxKeys bounds the dense per-key state: writing a key at or above it
+// panics rather than growing the arrays toward an out-of-memory crash.
+const maxKeys = 1 << 31
+
+// minKeys is the smallest dense allocation, for stores written before (or
+// without) a preload.
+const minKeys = 64
+
+// reserve makes the dense per-key arrays cover key, allocating them on the
+// first write and doubling them for keys past their end.
+func (s *Store) reserve(key int64) {
+	if key >= 0 && key < int64(len(s.versions)) {
+		return
+	}
+	if key < 0 {
+		panic(fmt.Sprintf("kv: write of negative key %d", key))
+	}
+	if key >= maxKeys {
+		panic(fmt.Sprintf("kv: write of key %d exceeds the %d-key bound", key, int64(maxKeys)))
+	}
+	n := int64(len(s.versions))
+	if n == 0 {
+		n = max(s.preloaded, minKeys)
+	}
+	for n <= key {
+		n *= 2
+	}
+	n = min(n, maxKeys)
+	versions := make([]uint32, n)
+	copy(versions, s.versions)
+	mem := make([]uint64, (n+63)/64)
+	copy(mem, s.mem)
+	s.versions, s.mem = versions, mem
+}
+
+// inMemtable reports whether key is buffered in the memtable.
+func (s *Store) inMemtable(key int64) bool {
+	w := key >> 6
+	return key >= 0 && w < int64(len(s.mem)) && s.mem[w]&(1<<(key&63)) != 0
+}
+
+// write applies one write of key: it enters the memtable and its version
+// is bumped. The caller flushes once the memtable is full.
+func (s *Store) write(key int64) {
+	s.reserve(key)
+	if w, b := key>>6, uint64(1)<<(key&63); s.mem[w]&b == 0 {
+		s.mem[w] |= b
+		s.memN++
+	}
+	s.versions[key]++
 }
 
 // KeyOffset reports the device offset currently serving a key (tests and
@@ -389,7 +459,7 @@ func (s *Store) allocExtent(size int64) int64 {
 // revoke the IO while it is still queued — the hook tied requests need.
 func (s *Store) Get(key int64, deadline time.Duration, onDone func(error)) *blockio.Request {
 	s.gets++
-	if s.memtable[key] {
+	if s.inMemtable(key) {
 		s.afterMem(nil, onDone)
 		return nil
 	}
@@ -436,10 +506,9 @@ func (s *Store) Get(key int64, deadline time.Duration, onDone func(error)) *bloc
 // commit) and the memtable flush when it fills.
 func (s *Store) Put(key int64, onDone func(error)) {
 	s.puts++
-	s.memtable[key] = true
-	s.versions[key]++
+	s.write(key)
 	s.submitBackground(blockio.Write, s.walOffset(), s.cfg.BlockSize, s.cfg.Class, s.cfg.Priority)
-	if len(s.memtable) >= s.cfg.MemtableCap {
+	if s.memN >= s.cfg.MemtableCap {
 		s.flush()
 	}
 	s.afterMem(nil, onDone)
@@ -597,9 +666,8 @@ func (g *walGroup) done(err error) {
 		switch {
 		case err == nil:
 			// WAL durable: mutate the memtable and ack at memory latency.
-			s.memtable[m.key] = true
-			s.versions[m.key]++
-			if len(s.memtable) >= s.cfg.MemtableCap {
+			s.write(m.key)
+			if s.memN >= s.cfg.MemtableCap {
 				s.flush()
 			}
 			s.rec.Observe(metrics.RNode, metrics.HPutMemAck, blockio.Write, now.Sub(m.enq))
@@ -654,20 +722,23 @@ func (s *Store) walOffsetN(n int) int64 {
 // in the background at the engine's priority.
 func (s *Store) flush() {
 	s.flushes++
-	n := int64(len(s.memtable))
+	n := int64(s.memN)
 	// Slot assignment decides each key's device offset, which decides the
-	// seek distance of every future read of that key — it must not depend
-	// on Go's randomized map order. Flush in sorted key order (real LSM
-	// flushes write sorted tables anyway).
+	// seek distance of every future read of that key. Walking the bitset
+	// word by word yields the keys in ascending order (real LSM flushes
+	// write sorted tables too) and empties the memtable as it goes.
 	keys := make([]int64, 0, n)
-	for k := range s.memtable { //mapiter:sorted
-		keys = append(keys, k)
+	for w, word := range s.mem {
+		if word == 0 {
+			continue
+		}
+		for ; word != 0; word &= word - 1 {
+			keys = append(keys, int64(w)<<6|int64(bits.TrailingZeros64(word)))
+		}
+		s.mem[w] = 0
 	}
-	slices.Sort(keys)
+	s.memN = 0
 	r := newRun(s.allocExtent(n*int64(s.cfg.BlockSize)), int64(s.cfg.BlockSize), keys)
-	// Reuse the memtable's buckets: it refills to the same size before the
-	// next flush, so a fresh map would only regrow to it again.
-	clear(s.memtable)
 	s.runs = append([]*run{r}, s.runs...)
 	// Background sequential writes, fire-and-forget: chunked 256KB IOs.
 	const chunk = 256 << 10

@@ -2,7 +2,9 @@ package kv
 
 import (
 	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -187,6 +189,56 @@ func TestKeyOffsetStable(t *testing.T) {
 	}
 	if _, ok := r.store.KeyOffset(99999); ok {
 		t.Fatal("KeyOffset found a missing key")
+	}
+}
+
+// TestKeyStateBounds pins the dense per-key state's edges: keys outside
+// the arrays read as never written, and writes it cannot hold panic with a
+// message instead of corrupting state or exhausting memory.
+func TestKeyStateBounds(t *testing.T) {
+	r := newKVRig(t)
+	r.store.Preload(100)
+	r.store.Put(5, func(error) {})
+	r.eng.Run()
+	for _, k := range []int64{-1, -64, 100, 1 << 20, maxKeys, math.MaxInt64} {
+		if v := r.store.Version(k); v != 0 {
+			t.Errorf("Version(%d) = %d, want 0", k, v)
+		}
+		if _, ok := r.store.KeyOffset(k); ok {
+			t.Errorf("KeyOffset(%d) found a key", k)
+		}
+		var err error
+		if req := r.store.Get(k, 0, func(e error) { err = e }); req != nil {
+			t.Errorf("Get(%d) issued a read", k)
+		}
+		r.eng.Run()
+		if err != ErrNotFound {
+			t.Errorf("Get(%d) = %v, want ErrNotFound", k, err)
+		}
+	}
+	r.store.ApplyReplicated(7, math.MaxUint32)
+	if v := r.store.Version(7); v != math.MaxUint32 {
+		t.Fatalf("Version(7) = %d after applying MaxUint32", v)
+	}
+
+	panics := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one mentioning %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	panics("Put(-1)", "negative key", func() { r.store.Put(-1, func(error) {}) })
+	panics("ApplyReplicated(-3, 1)", "negative key", func() { r.store.ApplyReplicated(-3, 1) })
+	panics("Put(maxKeys)", "bound", func() { r.store.Put(maxKeys, func(error) {}) })
+	panics("Put(MaxInt64)", "bound", func() { r.store.Put(math.MaxInt64, func(error) {}) })
+	panics("ApplyReplicated(7, MaxUint32+1)", "uint32", func() { r.store.ApplyReplicated(7, math.MaxUint32+1) })
+	if v := r.store.Version(7); v != math.MaxUint32 {
+		t.Fatalf("Version(7) = %d after the refused apply", v)
 	}
 }
 
